@@ -12,7 +12,7 @@
 //! building a million-activity graph allocates a handful of vectors, and
 //! copying or truncating one is a `memcpy` of plain-old-data rows plus one
 //! shared dependency buffer. Dependencies are stored CSR-style: a global
-//! id buffer plus per-activity offsets, which the engines walk as
+//! id buffer plus per-activity offsets, which the engine walks as
 //! contiguous slices. [`ActivityRef`] is the per-activity view handed out
 //! by [`ActivityGraph::get`] / [`ActivityGraph::iter`].
 
@@ -237,7 +237,7 @@ impl ActivityGraph {
         }
     }
 
-    /// The kind of one activity (flat-array access for the engines).
+    /// The kind of one activity (flat-array access for the engine).
     pub fn kind_of(&self, id: ActivityId) -> &ActivityKind {
         &self.kinds[id.0 as usize]
     }

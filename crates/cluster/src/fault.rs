@@ -3,9 +3,8 @@
 //! A [`FaultPlan`] describes *when* the cluster misbehaves — a node crashes
 //! at simulated time `T` (optionally coming back after a restart delay), or
 //! a node's CPU/disk/NIC capacity is multiplied by a factor over a time
-//! window. Both engines ([`crate::sim::Simulation::run_with_faults`] and
-//! [`crate::sim::Simulation::run_reference_with_faults`]) honor the same
-//! plan with identical semantics:
+//! window. [`crate::sim::Simulation::run_with_faults`] honors the plan
+//! with these semantics:
 //!
 //! - At a crash, every in-flight activity touching the node is **killed**:
 //!   it is forced to complete at the crash instant (its unfinished work is
@@ -20,7 +19,7 @@
 //! - Slowdown windows scale resource capacities multiplicatively while
 //!   active; rates are re-derived at every window edge.
 //!
-//! An empty plan adds no floating-point work to either engine, so fault
+//! An empty plan adds no floating-point work to the engine, so fault
 //! support leaves healthy simulations bit-identical.
 
 use serde::{Deserialize, Serialize};
@@ -69,7 +68,7 @@ pub struct Slowdown {
     pub factor: f64,
 }
 
-/// A deterministic schedule of faults, honored identically by both engines.
+/// A deterministic schedule of faults.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// Node crashes.
@@ -175,7 +174,7 @@ impl FaultPlan {
         plan
     }
 
-    /// Largest node id referenced by the plan, if any — used by the engines
+    /// Largest node id referenced by the plan, if any — used by the engine
     /// to validate the plan against the cluster.
     pub(crate) fn max_node(&self) -> Option<NodeId> {
         self.crashes
@@ -231,7 +230,7 @@ pub(crate) fn touched_nodes(kind: &ActivityKind) -> [Option<NodeId>; 2] {
 /// Engine-side clock over a plan's fault boundaries.
 ///
 /// Crash instants, restart instants, and slowdown-window edges form a merged,
-/// sorted timeline; the engines never advance simulated time past the next
+/// sorted timeline; the engine never advances simulated time past the next
 /// unprocessed boundary. [`FaultClock::advance`] consumes boundaries up to
 /// `t` and reports which nodes crashed/restarted and whether capacities
 /// need re-deriving.

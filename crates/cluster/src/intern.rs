@@ -8,7 +8,7 @@
 //! resolution returns a `&'static str` (the table never frees).
 //!
 //! Determinism: the id assigned to a given string depends only on the order
-//! of first interning within the process, which the engines never rely on —
+//! of first interning within the process, which the engine never relies on —
 //! every ordered operation ([`crate::activity::ActivityGraph::tagged`],
 //! serde) resolves symbols back to text first. Re-interning a string is
 //! idempotent and returns the original id, so symbol↔string is a bijection

@@ -24,7 +24,6 @@ pub mod fs;
 pub mod intern;
 pub mod provision;
 pub mod resources;
-pub(crate) mod sched;
 pub mod sim;
 pub mod topology;
 pub mod trace;

@@ -5,21 +5,11 @@
 //! earliest completion, accumulates resource usage into the [`UsageTrace`],
 //! and releases newly-ready activities. Deterministic by construction.
 //!
-//! Two engines share this contract. [`Simulation::run`] is the partitioned
-//! incremental scheduler ([`crate::sched`]): the DAG splits into connected
-//! components over `dependency ∪ shared-resource` edges, each simulated
-//! independently (optionally on scoped worker threads) with rates
-//! recomputed only for activities transitively coupled to an arrival or
-//! departure, and the next completion coming from a lazy-invalidation heap
-//! instead of a scan. [`Simulation::run_reference`] is the straightforward
-//! recompute-everything loop, kept as the oracle the incremental engine is
-//! tested against.
-//!
-//! Small DAGs skip the incremental machinery: below
-//! [`Simulation::DEFAULT_CUTOVER`] activities the per-event closure/heap
-//! bookkeeping costs more than it saves, so [`Simulation::run`] dispatches
-//! to the dense recompute loop there (tunable via
-//! [`Simulation::with_cutover`]).
+//! There is one engine, a dense recompute loop: every event re-runs
+//! progressive filling over all running activities and rescans them for
+//! the earliest completion. That is O(running) per event with near-zero
+//! bookkeeping, which suits platform DAGs of hundreds to several thousand
+//! activities.
 
 use std::fmt;
 
@@ -27,7 +17,7 @@ use crate::activity::{ActivityGraph, ActivityId, ActivityKind};
 use crate::fault::{FaultClock, FaultEvent, FaultPlan};
 use crate::resources::{assign_rates, demand, Demand, ResourceTable};
 use crate::topology::{ClusterSpec, NodeId};
-use crate::trace::{Channel, UsageTrace};
+use crate::trace::{trace_targets, FlushWave, UsageTrace};
 
 /// Simulated start/end of one activity, microseconds since job epoch.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -138,8 +128,6 @@ impl SimResult {
 #[derive(Debug, Clone)]
 pub struct Simulation {
     cluster: ClusterSpec,
-    cutover: usize,
-    threads: Option<usize>,
 }
 
 struct Running {
@@ -149,52 +137,27 @@ struct Running {
     rate: f64,
 }
 
+/// Hot-loop counters, accumulated in locals and flushed to
+/// `granula-trace` once per run.
+#[derive(Default)]
+struct EngineStats {
+    /// Time steps taken: each ends at a completion batch or a fault boundary.
+    events: u64,
+    /// Progressive-filling passes.
+    refill_waves: u64,
+    /// Most activities running at once.
+    peak_running: usize,
+}
+
 impl Simulation {
-    /// Activity count below which [`Simulation::run`] uses the dense
-    /// recompute engine instead of the incremental one. Chosen from the
-    /// `simulator_scale` bench sweep: the incremental engine's closure/heap
-    /// bookkeeping only pays for itself above a few thousand activities
-    /// (the seed engine was 1.3–1.5× *faster* on 651/3251-activity DAGs).
-    pub const DEFAULT_CUTOVER: usize = 4096;
-
-    /// Creates an engine over a cluster with the default small-DAG cutover
-    /// and auto-detected thread count.
+    /// Creates an engine over a cluster.
     pub fn new(cluster: ClusterSpec) -> Self {
-        Simulation {
-            cluster,
-            cutover: Self::DEFAULT_CUTOVER,
-            threads: None,
-        }
-    }
-
-    /// Sets the activity count below which [`Simulation::run`] uses the
-    /// dense engine. `0` forces the incremental engine for every size
-    /// (useful for equivalence tests); `usize::MAX` forces the dense one.
-    pub fn with_cutover(mut self, cutover: usize) -> Self {
-        self.cutover = cutover;
-        self
-    }
-
-    /// Sets the worker-thread budget for the partitioned engine. `1` is
-    /// fully sequential; higher counts simulate independent components
-    /// concurrently. Results are bit-identical for every value. Defaults to
-    /// the machine's available parallelism.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
+        Simulation { cluster }
     }
 
     /// The cluster being simulated.
     pub fn cluster(&self) -> &ClusterSpec {
         &self.cluster
-    }
-
-    fn thread_budget(&self) -> usize {
-        self.threads.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
     }
 
     fn check_nodes(&self, graph: &ActivityGraph) -> Result<(), SimError> {
@@ -228,12 +191,7 @@ impl Simulation {
     }
 
     /// Executes the DAG; returns per-activity timings and the usage trace.
-    ///
-    /// Uses the partitioned incremental scheduler (see [`crate::sched`])
-    /// above the cutover and the dense recompute engine below it; results
-    /// agree with [`Simulation::run_reference`] up to floating-point noise
-    /// and are bit-identical across repeated runs of the same input at any
-    /// thread count.
+    /// Repeated runs of the same input are bit-identical.
     pub fn run(&self, graph: &ActivityGraph) -> Result<SimResult, SimError> {
         self.run_with_faults(graph, &FaultPlan::default())
     }
@@ -241,51 +199,34 @@ impl Simulation {
     /// Executes the DAG under a [`FaultPlan`]. See [`crate::fault`] for the
     /// fault semantics; an empty plan is bit-identical to
     /// [`Simulation::run`].
+    ///
+    /// Records one `engine` span per run and flushes the
+    /// `engine.events_processed` and `engine.refill_waves` counters and the
+    /// `engine.peak_running` gauge (the last run's peak) when tracing is on.
     pub fn run_with_faults(
         &self,
         graph: &ActivityGraph,
         plan: &FaultPlan,
     ) -> Result<SimResult, SimError> {
+        let _span = granula_trace::span!("engine", "simulate activities={}", graph.len());
         self.check_nodes(graph)?;
         self.check_plan(plan)?;
-        if graph.len() < self.cutover {
-            self.run_dense(graph, plan)
-        } else {
-            crate::sched::run_partitioned(&self.cluster, graph, plan, self.thread_budget())
-        }
+        let mut stats = EngineStats::default();
+        let out = self.simulate(graph, plan, &mut stats);
+        granula_trace::counter_add("engine.events_processed", stats.events);
+        granula_trace::counter_add("engine.refill_waves", stats.refill_waves);
+        granula_trace::gauge_set("engine.peak_running", stats.peak_running as f64);
+        out
     }
 
-    /// Executes the DAG with the naive reference engine: every event
-    /// re-runs progressive filling over *all* running activities and
-    /// rescans them for the earliest completion.
-    ///
-    /// O(running) per event where [`Simulation::run`] touches only the
-    /// affected component — kept as the oracle for equivalence tests and as
-    /// the baseline for the scheduler benchmarks.
-    pub fn run_reference(&self, graph: &ActivityGraph) -> Result<SimResult, SimError> {
-        self.run_reference_with_faults(graph, &FaultPlan::default())
-    }
-
-    /// Executes the DAG under a [`FaultPlan`] with the reference engine —
-    /// the oracle for [`Simulation::run_with_faults`]. Fault semantics are
-    /// identical to the incremental engine: same kill instants, same
-    /// parking, same capacity windows.
-    pub fn run_reference_with_faults(
+    /// The event loop: start ready work, assign fair rates, step to the
+    /// earliest completion or fault boundary, repeat.
+    fn simulate(
         &self,
         graph: &ActivityGraph,
         plan: &FaultPlan,
+        stats: &mut EngineStats,
     ) -> Result<SimResult, SimError> {
-        self.check_nodes(graph)?;
-        self.check_plan(plan)?;
-        self.run_dense(graph, plan)
-    }
-
-    /// The dense recompute loop shared by [`Simulation::run_reference`] and
-    /// the small-DAG path of [`Simulation::run`]: every event re-runs
-    /// progressive filling over all running activities. O(running) per
-    /// event, but with near-zero bookkeeping — fastest below a few thousand
-    /// activities.
-    fn run_dense(&self, graph: &ActivityGraph, plan: &FaultPlan) -> Result<SimResult, SimError> {
         let n = graph.len();
         let mut table = ResourceTable::new(&self.cluster);
         let base_caps = table.caps.clone();
@@ -321,7 +262,7 @@ impl Simulation {
             .collect();
         let mut running: Vec<Running> = Vec::new();
         let mut demands: Vec<Demand> = Vec::new();
-        let mut wave = crate::sched::FlushWave::new(self.cluster.len());
+        let mut wave = FlushWave::new(self.cluster.len());
         let mut done = 0usize;
         let mut now = 0.0f64;
 
@@ -383,6 +324,7 @@ impl Simulation {
             if done == n {
                 break;
             }
+            stats.peak_running = stats.peak_running.max(running.len());
 
             let boundary = if active { clock.next_boundary() } else { None };
 
@@ -396,6 +338,7 @@ impl Simulation {
                 demands.clear();
                 demands.extend(running.iter().map(|r| r.demand));
                 let rates = assign_rates(&table, &demands);
+                stats.refill_waves += 1;
                 for (r, &rate) in running.iter_mut().zip(&rates) {
                     r.rate = rate;
                 }
@@ -408,8 +351,7 @@ impl Simulation {
                 now + dt
             };
 
-            // A completion at exactly a boundary instant wins (strict `<`),
-            // matching the incremental engine.
+            // A completion at exactly a boundary instant wins (strict `<`).
             let at_boundary = matches!(boundary, Some(b) if b < t1);
             let step_to = if at_boundary { boundary.unwrap() } else { t1 };
             if !step_to.is_finite() {
@@ -424,27 +366,15 @@ impl Simulation {
                 };
             }
             let dt = step_to - now;
+            stats.events += 1;
 
             // Accumulate usage over [now, step_to), batched so each
             // (channel, node) pair gets one UsageTrace::add per step no
             // matter how many activities share it.
             for r in &running {
-                let act = graph.get(r.id);
-                match act.kind {
-                    ActivityKind::Compute { node, .. } => {
-                        wave.push(&mut trace, Channel::Cpu, *node, now, step_to, r.rate);
-                    }
-                    ActivityKind::DiskRead { node, .. } | ActivityKind::DiskWrite { node, .. } => {
-                        wave.push(&mut trace, Channel::Disk, *node, now, step_to, r.rate);
-                    }
-                    ActivityKind::Transfer { src, dst, .. } => {
-                        wave.push(&mut trace, Channel::NetOut, *src, now, step_to, r.rate);
-                        wave.push(&mut trace, Channel::NetIn, *dst, now, step_to, r.rate);
-                    }
-                    ActivityKind::SharedRead { node, .. } => {
-                        wave.push(&mut trace, Channel::NetIn, *node, now, step_to, r.rate);
-                    }
-                    ActivityKind::Delay { .. } | ActivityKind::Barrier => {}
+                let targets = trace_targets(graph.kind_of(r.id));
+                for &(ch, node) in &targets.ch[..targets.n as usize] {
+                    wave.push(&mut trace, ch, node, now, step_to, r.rate);
                 }
             }
             wave.flush_all(&mut trace, step_to);
@@ -556,6 +486,7 @@ impl Simulation {
 mod tests {
     use super::*;
     use crate::topology::NodeSpec;
+    use crate::trace::Channel;
 
     fn cluster(nodes: u16) -> ClusterSpec {
         ClusterSpec::homogeneous(
@@ -729,71 +660,7 @@ mod tests {
     }
 
     #[test]
-    fn reference_engine_agrees_with_incremental() {
-        // A mixed DAG exercising contention, fan-in, and chained phases on
-        // a 3-node cluster; both engines must tell the same story.
-        let sim = Simulation::new(cluster(3));
-        let mut g = ActivityGraph::new();
-        let mut loads = Vec::new();
-        for node in 0..3u16 {
-            let r = g.add(
-                ActivityKind::DiskRead {
-                    node: NodeId(node),
-                    bytes: 3e6 + node as f64 * 1e6,
-                },
-                &[],
-                format!("load/{node}"),
-            );
-            loads.push(r);
-        }
-        let join = g.barrier(&loads, "join");
-        let mut computes = Vec::new();
-        for node in 0..3u16 {
-            for k in 0..4 {
-                computes.push(g.add(
-                    ActivityKind::Compute {
-                        node: NodeId(node),
-                        work_core_us: 1e6 * (1.0 + k as f64),
-                        parallelism: 4,
-                    },
-                    &[join],
-                    format!("proc/{node}/{k}"),
-                ));
-            }
-        }
-        let sync = g.barrier(&computes, "sync");
-        g.add(
-            ActivityKind::Transfer {
-                src: NodeId(0),
-                dst: NodeId(2),
-                bytes: 5e6,
-            },
-            &[sync],
-            "ship",
-        );
-        let a = sim.run(&g).unwrap();
-        let b = sim.run_reference(&g).unwrap();
-        assert!(
-            (a.makespan_us - b.makespan_us).abs() <= 1e-6 * b.makespan_us,
-            "{} vs {}",
-            a.makespan_us,
-            b.makespan_us
-        );
-        for (x, y) in a.results.iter().zip(&b.results) {
-            assert!((x.start_us - y.start_us).abs() <= 1e-6 * y.start_us.max(1.0));
-            assert!((x.end_us - y.end_us).abs() <= 1e-6 * y.end_us.max(1.0));
-        }
-        // Bitwise determinism of the incremental engine.
-        let a2 = sim.run(&g).unwrap();
-        assert_eq!(a.makespan_us.to_bits(), a2.makespan_us.to_bits());
-        for (x, y) in a.results.iter().zip(&a2.results) {
-            assert_eq!(x.start_us.to_bits(), y.start_us.to_bits());
-            assert_eq!(x.end_us.to_bits(), y.end_us.to_bits());
-        }
-    }
-
-    #[test]
-    fn crash_kills_in_flight_work_in_both_engines() {
+    fn crash_kills_in_flight_work() {
         // A 1e6-µs compute on node 1 is killed by a crash at 4e5; its
         // dependent (a delay) is released at the crash instant.
         let mut g = ActivityGraph::new();
@@ -809,18 +676,14 @@ mod tests {
         g.add(ActivityKind::Delay { duration_us: 100.0 }, &[c], "after");
         let plan = FaultPlan::new().crash(NodeId(1), 4e5);
         let sim = Simulation::new(cluster(2));
-        for res in [
-            sim.run_with_faults(&g, &plan).unwrap(),
-            sim.run_reference_with_faults(&g, &plan).unwrap(),
-        ] {
-            assert!((res.of(c).end_us - 4e5).abs() < 1e-6, "{:?}", res.of(c));
-            assert!((res.makespan_us - 4e5 - 100.0).abs() < 1e-6);
-            assert!(res.faults.iter().any(|f| matches!(
-                f,
-                FaultEvent::ActivityKilled { activity, node, .. }
-                    if *activity == c && *node == NodeId(1)
-            )));
-        }
+        let res = sim.run_with_faults(&g, &plan).unwrap();
+        assert!((res.of(c).end_us - 4e5).abs() < 1e-6, "{:?}", res.of(c));
+        assert!((res.makespan_us - 4e5 - 100.0).abs() < 1e-6);
+        assert!(res.faults.iter().any(|f| matches!(
+            f,
+            FaultEvent::ActivityKilled { activity, node, .. }
+                if *activity == c && *node == NodeId(1)
+        )));
     }
 
     #[test]
@@ -839,13 +702,9 @@ mod tests {
         );
         let plan = FaultPlan::new().crash_with_restart(NodeId(0), 0.0, 5e5);
         let sim = Simulation::new(cluster(1));
-        for res in [
-            sim.run_with_faults(&g, &plan).unwrap(),
-            sim.run_reference_with_faults(&g, &plan).unwrap(),
-        ] {
-            assert!((res.of(c).start_us - 5e5).abs() < 1e-6, "{:?}", res.of(c));
-            assert!((res.makespan_us - 6e5).abs() < 1.0, "{}", res.makespan_us);
-        }
+        let res = sim.run_with_faults(&g, &plan).unwrap();
+        assert!((res.of(c).start_us - 5e5).abs() < 1e-6, "{:?}", res.of(c));
+        assert!((res.makespan_us - 6e5).abs() < 1.0, "{}", res.makespan_us);
     }
 
     #[test]
@@ -862,17 +721,12 @@ mod tests {
         );
         let plan = FaultPlan::new().crash(NodeId(0), 100.0);
         let sim = Simulation::new(cluster(1));
-        for res in [
-            sim.run_with_faults(&g, &plan),
-            sim.run_reference_with_faults(&g, &plan),
-        ] {
-            match res {
-                Err(SimError::NodeLost { node, at_us, .. }) => {
-                    assert_eq!(node, NodeId(0));
-                    assert_eq!(at_us, 300);
-                }
-                other => panic!("expected NodeLost, got {other:?}"),
+        match sim.run_with_faults(&g, &plan) {
+            Err(SimError::NodeLost { node, at_us, .. }) => {
+                assert_eq!(node, NodeId(0));
+                assert_eq!(at_us, 300);
             }
+            other => panic!("expected NodeLost, got {other:?}"),
         }
         let msg = SimError::NodeLost {
             node: NodeId(0),
@@ -904,12 +758,8 @@ mod tests {
             0.5,
         );
         let sim = Simulation::new(cluster(1));
-        for res in [
-            sim.run_with_faults(&g, &plan).unwrap(),
-            sim.run_reference_with_faults(&g, &plan).unwrap(),
-        ] {
-            assert!((res.makespan_us - 2e4).abs() < 10.0, "{}", res.makespan_us);
-        }
+        let res = sim.run_with_faults(&g, &plan).unwrap();
+        assert!((res.makespan_us - 2e4).abs() < 10.0, "{}", res.makespan_us);
     }
 
     #[test]

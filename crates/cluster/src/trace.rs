@@ -6,6 +6,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::activity::ActivityKind;
 use crate::intern::Symbol;
 use crate::topology::{ClusterSpec, NodeId};
 
@@ -64,30 +65,6 @@ impl UsageTrace {
     /// ([`Symbol::as_str`] resolves the text).
     pub fn node_names(&self) -> &[Symbol] {
         &self.node_names
-    }
-
-    /// Element-wise sum of `other` into `self`. Used by the partitioned
-    /// engine's merge: components never share a `(channel, node)` series,
-    /// so every destination slot receives at most one non-zero
-    /// contribution and the merge is exact (adding onto 0.0 is bitwise
-    /// lossless for the non-negative usage values traces hold).
-    pub(crate) fn absorb(&mut self, other: &UsageTrace) {
-        debug_assert_eq!(self.bucket_us, other.bucket_us);
-        debug_assert_eq!(self.node_names.len(), other.node_names.len());
-        fn absorb_series(dst: &mut Vec<f64>, src: &[f64]) {
-            if dst.len() < src.len() {
-                dst.resize(src.len(), 0.0);
-            }
-            for (d, &s) in dst.iter_mut().zip(src) {
-                *d += s;
-            }
-        }
-        for i in 0..self.node_names.len() {
-            absorb_series(&mut self.cpu[i], &other.cpu[i]);
-            absorb_series(&mut self.disk[i], &other.disk[i]);
-            absorb_series(&mut self.net_in[i], &other.net_in[i]);
-            absorb_series(&mut self.net_out[i], &other.net_out[i]);
-        }
     }
 
     /// Accumulates a constant-rate usage of `rate` (unit/µs) on `node` over
@@ -180,6 +157,130 @@ impl UsageTrace {
     }
 }
 
+/// Where an activity's usage is charged (up to two `(channel, node)` targets).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TraceTargets {
+    pub(crate) ch: [(Channel, NodeId); 2],
+    pub(crate) n: u8,
+}
+
+pub(crate) fn trace_targets(kind: &ActivityKind) -> TraceTargets {
+    let mut t = TraceTargets {
+        ch: [(Channel::Cpu, NodeId(0)); 2],
+        n: 0,
+    };
+    match kind {
+        ActivityKind::Compute { node, .. } => {
+            t.ch[0] = (Channel::Cpu, *node);
+            t.n = 1;
+        }
+        ActivityKind::DiskRead { node, .. } | ActivityKind::DiskWrite { node, .. } => {
+            t.ch[0] = (Channel::Disk, *node);
+            t.n = 1;
+        }
+        ActivityKind::Transfer { src, dst, .. } => {
+            t.ch[0] = (Channel::NetOut, *src);
+            t.ch[1] = (Channel::NetIn, *dst);
+            t.n = 2;
+        }
+        ActivityKind::SharedRead { node, .. } => {
+            t.ch[0] = (Channel::NetIn, *node);
+            t.n = 1;
+        }
+        ActivityKind::Delay { .. } | ActivityKind::Barrier => {}
+    }
+    t
+}
+
+/// Dense per-`(channel, node)` accumulator batching [`UsageTrace`] spans.
+///
+/// Within one flush wave every pushed span ends at the same boundary, so
+/// spans sharing `(channel, node, start)` — the common case when many
+/// activities share one resource — merge into a single `UsageTrace::add`.
+pub(crate) struct FlushWave {
+    t0: Vec<f64>,
+    rate: Vec<f64>,
+    on: Vec<bool>,
+    touched: Vec<u32>,
+    nodes: usize,
+}
+
+fn channel_index(ch: Channel) -> usize {
+    match ch {
+        Channel::Cpu => 0,
+        Channel::Disk => 1,
+        Channel::NetIn => 2,
+        Channel::NetOut => 3,
+    }
+}
+
+fn channel_of(i: usize) -> Channel {
+    match i {
+        0 => Channel::Cpu,
+        1 => Channel::Disk,
+        2 => Channel::NetIn,
+        _ => Channel::NetOut,
+    }
+}
+
+impl FlushWave {
+    pub(crate) fn new(nodes: usize) -> Self {
+        FlushWave {
+            t0: vec![0.0; 4 * nodes],
+            rate: vec![0.0; 4 * nodes],
+            on: vec![false; 4 * nodes],
+            touched: Vec::new(),
+            nodes,
+        }
+    }
+
+    fn slot_index(&self, ch: Channel, node: NodeId) -> usize {
+        channel_index(ch) * self.nodes + node.0 as usize
+    }
+
+    /// Adds the span `[t0, t1) @ rate`; merges with a pending span of the
+    /// same `(channel, node, t0)`, else emits the pending one first.
+    pub(crate) fn push(
+        &mut self,
+        trace: &mut UsageTrace,
+        ch: Channel,
+        node: NodeId,
+        t0: f64,
+        t1: f64,
+        rate: f64,
+    ) {
+        let i = self.slot_index(ch, node);
+        if self.on[i] {
+            if self.t0[i] == t0 {
+                self.rate[i] += rate;
+                return;
+            }
+            trace.add(ch, node, self.t0[i], t1, self.rate[i]);
+            self.t0[i] = t0;
+            self.rate[i] = rate;
+        } else {
+            self.on[i] = true;
+            self.t0[i] = t0;
+            self.rate[i] = rate;
+            self.touched.push(i as u32);
+        }
+    }
+
+    /// Emits every pending span, all ending at `t1`.
+    pub(crate) fn flush_all(&mut self, trace: &mut UsageTrace, t1: f64) {
+        for k in 0..self.touched.len() {
+            let i = self.touched[k] as usize;
+            if self.on[i] {
+                let ch = channel_of(i / self.nodes);
+                let node = NodeId((i % self.nodes) as u16);
+                trace.add(ch, node, self.t0[i], t1, self.rate[i]);
+                self.on[i] = false;
+            }
+        }
+        self.touched.clear();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,5 +346,55 @@ mod tests {
         t.add(Channel::Disk, NodeId(0), 0.0, 1_000_000.0, 100.0);
         let s = t.series(Channel::Disk, NodeId(0));
         assert!((s[0].1 - 1e8).abs() < 1.0);
+    }
+
+    #[test]
+    fn flush_wave_merges_same_span() {
+        let cluster = ClusterSpec::homogeneous(
+            2,
+            NodeSpec {
+                name: String::new(),
+                cores: 8,
+                disk_bps: 1e8,
+                nic_bps: 1e8,
+                mem_bytes: 1,
+            },
+        );
+        let mut trace = UsageTrace::new(&cluster);
+        let mut wave = FlushWave::new(2);
+        // Three readers on node 0's disk over the same span merge into one
+        // accumulation; a fourth on node 1 stays separate.
+        for _ in 0..3 {
+            wave.push(&mut trace, Channel::Disk, NodeId(0), 0.0, 10.0, 5.0);
+        }
+        wave.push(&mut trace, Channel::Disk, NodeId(1), 0.0, 10.0, 7.0);
+        wave.flush_all(&mut trace, 10.0);
+        let s0 = trace.series(Channel::Disk, NodeId(0));
+        let s1 = trace.series(Channel::Disk, NodeId(1));
+        assert!((s0[0].1 - 150.0).abs() < 1e-9, "{s0:?}");
+        assert!((s1[0].1 - 70.0).abs() < 1e-9, "{s1:?}");
+    }
+
+    #[test]
+    fn flush_wave_splits_differing_starts() {
+        let cluster = ClusterSpec::homogeneous(
+            1,
+            NodeSpec {
+                name: String::new(),
+                cores: 8,
+                disk_bps: 1e8,
+                nic_bps: 1e8,
+                mem_bytes: 1,
+            },
+        );
+        let mut trace = UsageTrace::new(&cluster);
+        let mut wave = FlushWave::new(1);
+        // Same (channel, node), different anchors: both spans must land.
+        wave.push(&mut trace, Channel::Disk, NodeId(0), 0.0, 20.0, 1.0);
+        wave.push(&mut trace, Channel::Disk, NodeId(0), 10.0, 20.0, 1.0);
+        wave.flush_all(&mut trace, 20.0);
+        let s = trace.series(Channel::Disk, NodeId(0));
+        // 1.0 over [0,20) plus 1.0 over [10,20) = 30 units in the bucket.
+        assert!((s[0].1 - 30.0).abs() < 1e-9, "{s:?}");
     }
 }

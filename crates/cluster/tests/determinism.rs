@@ -1,0 +1,241 @@
+//! Property tests of the simulator's determinism: repeated runs of the same
+//! random DAG × heterogeneous cluster × fault plan are bit-identical —
+//! timings, makespan, fault events and every trace bucket.
+
+use gpsim_cluster::trace::Channel;
+use gpsim_cluster::{
+    ActivityGraph, ActivityId, ActivityKind, ClusterSpec, DegradedChannel, FaultPlan, NodeId,
+    NodeSpec, SimError, SimResult, Simulation,
+};
+use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+
+/// One randomly-drawn scenario: a heterogeneous cluster plus a DAG.
+#[derive(Debug, Clone)]
+struct World {
+    cluster: ClusterSpec,
+    graph: ActivityGraph,
+}
+
+type RawAct = (u8, u16, u16, f64, u32, Vec<u32>);
+
+fn build_world(nodes: Vec<(u32, f64, f64)>, acts: Vec<RawAct>) -> World {
+    let n = nodes.len() as u16;
+    let cluster = ClusterSpec {
+        nodes: nodes
+            .into_iter()
+            .enumerate()
+            .map(|(i, (cores, disk_bps, nic_bps))| NodeSpec {
+                name: format!("n{i}"),
+                cores,
+                disk_bps,
+                nic_bps,
+                mem_bytes: 1 << 30,
+            })
+            .collect(),
+        // Deliberately small so SharedRead activities contend on the server.
+        shared_fs_bps: 5.0e7,
+    };
+    let mut graph = ActivityGraph::new();
+    for (i, (sel, a, b, amount, par, deps)) in acts.into_iter().enumerate() {
+        let deps: Vec<ActivityId> = if i == 0 {
+            Vec::new()
+        } else {
+            deps.into_iter().map(|d| ActivityId(d % i as u32)).collect()
+        };
+        let na = NodeId(a % n);
+        let nb = NodeId(b % n);
+        let kind = match sel {
+            0 => ActivityKind::Compute {
+                node: na,
+                work_core_us: amount,
+                parallelism: par,
+            },
+            1 => ActivityKind::DiskRead {
+                node: na,
+                bytes: amount,
+            },
+            2 => ActivityKind::DiskWrite {
+                node: na,
+                bytes: amount,
+            },
+            // May draw src == dst: the instant-completion path.
+            3 => ActivityKind::Transfer {
+                src: na,
+                dst: nb,
+                bytes: amount,
+            },
+            4 => ActivityKind::SharedRead {
+                node: na,
+                bytes: amount,
+            },
+            5 => ActivityKind::Delay {
+                duration_us: amount / 100.0,
+            },
+            _ => ActivityKind::Barrier,
+        };
+        graph.add(kind, &deps, format!("k{sel}/{i}"));
+    }
+    World { cluster, graph }
+}
+
+fn arb_world() -> impl Strategy<Value = World> {
+    let node = (1u32..=8, 1.0e6f64..4.0e8, 1.0e6f64..1.0e8);
+    let act = (
+        0u8..7,
+        any::<u16>(),
+        any::<u16>(),
+        prop_oneof![
+            1 => Just(0.0f64),
+            9 => 1.0f64..3.0e6,
+        ],
+        1u32..=8,
+        proptest::collection::vec(any::<u32>(), 0..=3),
+    );
+    (
+        proptest::collection::vec(node, 1..=4),
+        proptest::collection::vec(act, 0..=40),
+    )
+        .prop_map(|(nodes, acts)| build_world(nodes, acts))
+}
+
+/// Raw draw for one fault plan: a crash (node selector, time, optional
+/// restart delay) plus up to two slowdown windows.
+type RawPlan = (u16, f64, Option<f64>, Vec<(u16, u8, f64, f64, f64)>);
+
+fn arb_raw_plan() -> impl Strategy<Value = RawPlan> {
+    (
+        any::<u16>(),
+        1.0f64..3.0e6,
+        proptest::option::of(1.0e5f64..1.0e6),
+        proptest::collection::vec(
+            (
+                any::<u16>(),
+                0u8..4,
+                1.0f64..2.4e6,
+                1.0e5f64..1.0e6,
+                0.1f64..1.0,
+            ),
+            0..=2,
+        ),
+    )
+}
+
+/// Instantiates a raw plan against a concrete cluster size.
+fn build_plan(raw: RawPlan, nodes: u16) -> FaultPlan {
+    let (crash_sel, at, restart, slows) = raw;
+    let mut plan = match restart {
+        Some(r) => FaultPlan::new().crash_with_restart(NodeId(crash_sel % nodes), at, r),
+        None => FaultPlan::new().crash(NodeId(crash_sel % nodes), at),
+    };
+    for (sel, ch, from, len, factor) in slows {
+        let channel = match ch {
+            0 => DegradedChannel::Cpu,
+            1 => DegradedChannel::Disk,
+            2 => DegradedChannel::Nic,
+            _ => DegradedChannel::All,
+        };
+        plan = plan.slow(NodeId(sel % nodes), channel, from, from + len, factor);
+    }
+    plan
+}
+
+/// Asserts two runs agree bit for bit: timings, makespan, fault events and
+/// every trace bucket.
+fn assert_bitwise_eq(a: &SimResult, b: &SimResult, nodes: usize) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.makespan_us.to_bits(), b.makespan_us.to_bits());
+    for (x, y) in a.results.iter().zip(&b.results) {
+        prop_assert_eq!(x.start_us.to_bits(), y.start_us.to_bits());
+        prop_assert_eq!(x.end_us.to_bits(), y.end_us.to_bits());
+    }
+    prop_assert_eq!(&a.faults, &b.faults);
+    for ch in [Channel::Cpu, Channel::Disk, Channel::NetIn, Channel::NetOut] {
+        for node in 0..nodes as u16 {
+            let sa = a.trace.series(ch, NodeId(node));
+            let sb = b.trace.series(ch, NodeId(node));
+            prop_assert_eq!(sa.len(), sb.len());
+            for (&(ta, va), &(tb, vb)) in sa.iter().zip(&sb) {
+                prop_assert_eq!(ta, tb);
+                prop_assert_eq!(va.to_bits(), vb.to_bits());
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    /// Repeated healthy runs are bit-identical.
+    #[test]
+    fn run_is_bitwise_deterministic(w in arb_world()) {
+        let sim = Simulation::new(w.cluster.clone());
+        match (sim.run(&w.graph), sim.run(&w.graph)) {
+            (Ok(a), Ok(b)) => assert_bitwise_eq(&a, &b, w.cluster.len())?,
+            (Err(a), Err(b)) => prop_assert_eq!(a, b),
+            (a, b) => prop_assert!(false, "determinism violated: {a:?} vs {b:?}"),
+        }
+    }
+
+    /// Repeated fault-injected runs are bit-identical, including the
+    /// fault-event list and the error when the plan makes the job
+    /// impossible.
+    #[test]
+    fn fault_injection_is_bitwise_deterministic(w in arb_world(), raw in arb_raw_plan()) {
+        let plan = build_plan(raw, w.cluster.len() as u16);
+        let sim = Simulation::new(w.cluster.clone());
+        let first = sim.run_with_faults(&w.graph, &plan);
+        let second = sim.run_with_faults(&w.graph, &plan);
+        match (first, second) {
+            (Ok(a), Ok(b)) => assert_bitwise_eq(&a, &b, w.cluster.len())?,
+            (Err(a), Err(b)) => prop_assert_eq!(a, b),
+            (a, b) => prop_assert!(false, "determinism violated: {a:?} vs {b:?}"),
+        }
+    }
+
+    /// `span_of_tag` through the tag index equals a brute-force scan.
+    #[test]
+    fn span_of_tag_matches_linear_scan(w in arb_world(), sel in 0u8..7) {
+        let sim = Simulation::new(w.cluster.clone());
+        let Ok(res) = sim.run(&w.graph) else { return Ok(()) };
+        let prefix = format!("k{sel}");
+        let indexed = res.span_of_tag(&w.graph, &prefix);
+        let mut scanned: Option<(f64, f64)> = None;
+        for a in w.graph.iter().filter(|a| a.tag().starts_with(&prefix)) {
+            let r = res.of(a.id);
+            scanned = Some(match scanned {
+                None => (r.start_us, r.end_us),
+                Some((lo, hi)) => (lo.min(r.start_us), hi.max(r.end_us)),
+            });
+        }
+        prop_assert_eq!(indexed, scanned);
+    }
+}
+
+#[test]
+fn stall_names_the_blocked_activity() {
+    // A zero-bandwidth disk can never serve its reader: the run reports a
+    // stall naming it.
+    let cluster = ClusterSpec {
+        nodes: vec![NodeSpec {
+            name: "n0".into(),
+            cores: 4,
+            disk_bps: 0.0,
+            nic_bps: 1e8,
+            mem_bytes: 1 << 30,
+        }],
+        shared_fs_bps: 1e9,
+    };
+    let mut g = ActivityGraph::new();
+    let r = g.add(
+        ActivityKind::DiskRead {
+            node: NodeId(0),
+            bytes: 100.0,
+        },
+        &[],
+        "r",
+    );
+    let sim = Simulation::new(cluster);
+    match sim.run(&g) {
+        Err(SimError::Stalled { activity }) => assert_eq!(activity, r),
+        other => panic!("expected Stalled, got {other:?}"),
+    }
+}

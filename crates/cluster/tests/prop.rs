@@ -198,3 +198,90 @@ proptest! {
         }
     }
 }
+
+/// Activities per DAG in the large-DAG tests: well above the few hundred
+/// most platform runs build, at the size of the largest ones
+/// (`ablation_scalability` reaches ~7,800).
+const LARGE: usize = 5_000;
+
+/// Distinct per-activity work in core-µs, so completions spread over
+/// `LARGE` separate events instead of one batch.
+fn large_work(i: usize) -> f64 {
+    1_000.0 + ((i * 37) % 1_000) as f64
+}
+
+/// `LARGE` parallelism-1 computes on a 1-core node, chained or independent.
+fn large_compute_dag(chained: bool) -> ActivityGraph {
+    let mut g = ActivityGraph::with_capacity(LARGE, LARGE);
+    let mut prev: Option<ActivityId> = None;
+    for i in 0..LARGE {
+        let deps: Vec<ActivityId> = if chained {
+            prev.into_iter().collect()
+        } else {
+            Vec::new()
+        };
+        prev = Some(g.add(
+            ActivityKind::Compute {
+                node: NodeId(0),
+                work_core_us: large_work(i),
+                parallelism: 1,
+            },
+            &deps,
+            format!("c{i}"),
+        ));
+    }
+    g
+}
+
+#[test]
+fn large_chain_takes_total_work() {
+    let g = large_compute_dag(true);
+    let res = Simulation::new(cluster(1, 1)).run(&g).expect("chain");
+    let total: f64 = (0..LARGE).map(large_work).sum();
+    assert!(
+        (res.makespan_us - total).abs() <= 1e-9 * total,
+        "{} vs {total}",
+        res.makespan_us
+    );
+}
+
+#[test]
+fn large_independent_set_conserves_work_and_repeats_bitwise() {
+    let g = large_compute_dag(false);
+    let sim = Simulation::new(cluster(1, 1));
+    let a = sim.run(&g).expect("independent activities");
+    // Fair sharing never idles the core: the last completion lands at the
+    // total work, and the trace holds every core-µs submitted.
+    let total: f64 = (0..LARGE).map(large_work).sum();
+    assert!(
+        (a.makespan_us - total).abs() <= 1e-9 * total,
+        "{} vs {total}",
+        a.makespan_us
+    );
+    let traced: f64 = a
+        .trace
+        .series(Channel::Cpu, NodeId(0))
+        .into_iter()
+        .map(|(_, v)| v)
+        .sum();
+    assert!(
+        (traced - total / 1e6).abs() <= 1e-9 * total,
+        "traced {traced} vs submitted {}",
+        total / 1e6
+    );
+
+    let b = sim.run(&g).expect("independent activities");
+    assert_eq!(a.makespan_us.to_bits(), b.makespan_us.to_bits());
+    for (x, y) in a.results.iter().zip(&b.results) {
+        assert_eq!(x.start_us.to_bits(), y.start_us.to_bits());
+        assert_eq!(x.end_us.to_bits(), y.end_us.to_bits());
+    }
+    let (sa, sb) = (
+        a.trace.series(Channel::Cpu, NodeId(0)),
+        b.trace.series(Channel::Cpu, NodeId(0)),
+    );
+    assert_eq!(sa.len(), sb.len());
+    for (&(ta, va), &(tb, vb)) in sa.iter().zip(&sb) {
+        assert_eq!((ta, va.to_bits()), (tb, vb.to_bits()));
+    }
+}
