@@ -506,8 +506,9 @@ pub(crate) fn trailer_via_footer(bytes: &[u8]) -> Result<(Vec<TrailerEntry>, usi
     Ok((decode_trailer(payload)?, trailer_offset))
 }
 
-/// Reads the version field of the 8-byte file header.
-pub(crate) fn header_version(bytes: &[u8]) -> Result<u32, BinError> {
+/// Reads the version field of the 8-byte file header: the format the
+/// file was written in, which may be older than [`BIN_FORMAT_VERSION`].
+pub fn header_version(bytes: &[u8]) -> Result<u32, BinError> {
     let magic: [u8; 4] = bytes
         .get(..4)
         .ok_or(BinError::Truncated)?

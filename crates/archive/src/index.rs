@@ -4,9 +4,9 @@
 //! Granula archives are interrogated repeatedly (paper §3.3: analysts
 //! "query the contents systematically"), so every `KindPattern` query
 //! answered by a full linear scan is wasted work after the first one. A
-//! [`TreeIndex`] is built once per archive — at `add`/`upsert`/`load`
-//! time in the [`crate::engine::QueryEngine`] — and holds three access
-//! paths:
+//! [`TreeIndex`] is built once per archive — when the serving layer
+//! ([`crate::shard::ShardedEngine`]) admits a job, or once per job in a
+//! one-shot CLI query — and holds three access paths:
 //!
 //! * **mission-kind index** — mission kind → operation ids;
 //! * **actor-kind index** — actor kind → operation ids;
@@ -14,16 +14,25 @@
 //!   time, for `[start..end]` window queries.
 //!
 //! All candidate lists store ids in ascending order, so an index-driven
-//! evaluation emits results in exactly the order the linear scans in
-//! [`crate::query`] produce — the differential test suite pins this.
+//! evaluation ([`TreeIndex::evaluate`]) emits results in exactly the
+//! order the linear scans in [`crate::query`] produce — the differential
+//! test suite (`crates/archive/tests/differential.rs`) pins this.
 
 use std::collections::HashMap;
 use std::fmt;
 
 use granula_model::{OpId, OperationTree};
 
-use crate::engine::QueryMode;
 use crate::query::{Query, Segment, TimeWindow};
+
+/// How a query's path segments anchor to the tree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum QueryMode {
+    /// Absolute path from the root ([`Query::select`] semantics).
+    Select,
+    /// Last segment anywhere, ancestors above it ([`Query::find_all`]).
+    FindAll,
+}
 
 /// Trees at or below this operation count always plan to the linear
 /// scan: on tiny archives, choosing a plan and materializing a candidate
@@ -219,6 +228,64 @@ impl TreeIndex {
             QueryPlan::FullScan { .. } => None,
         }
     }
+
+    /// Evaluates `query` over `tree`, which must be the tree this index
+    /// was built from: plans it with [`plan_for`](Self::plan_for),
+    /// evaluates the index candidates when the plan has any, and falls
+    /// back to the linear scan otherwise. Results are identical — ids and
+    /// order — to [`Query::select`]/[`Query::find_all`].
+    pub fn evaluate(&self, tree: &OperationTree, query: &Query, mode: QueryMode) -> Vec<OpId> {
+        match self.candidates(&self.plan_for(query, mode)) {
+            Some(candidates) => evaluate_candidates(tree, query, mode, &candidates),
+            None => scan(tree, query, mode),
+        }
+    }
+}
+
+/// Evaluates `query` by the linear-scan oracle.
+fn scan(tree: &OperationTree, query: &Query, mode: QueryMode) -> Vec<OpId> {
+    match mode {
+        QueryMode::Select => query.select(tree),
+        QueryMode::FindAll => query.find_all(tree),
+    }
+}
+
+/// Evaluates a query over an index-provided candidate list (ascending
+/// ids). Each candidate is checked against the last segment and window,
+/// then its ancestor chain against the leading segments — exactly the
+/// semantics of the linear scans, restricted to the candidates.
+fn evaluate_candidates(
+    tree: &OperationTree,
+    query: &Query,
+    mode: QueryMode,
+    candidates: &[OpId],
+) -> Vec<OpId> {
+    let _span = granula_trace::span!("archiving", "index.indexed_eval");
+    let last = query.segments.last().expect("parsed query has segments");
+    let leading = &query.segments[..query.segments.len() - 1];
+    let mut out = Vec::new();
+    'op: for &id in candidates {
+        let op = tree.op(id);
+        if !last.matches(op) || !query.window_accepts(op) {
+            continue;
+        }
+        let mut cur = op.parent;
+        for seg in leading.iter().rev() {
+            match cur {
+                Some(pid) if seg.matches(tree.op(pid)) => cur = tree.op(pid).parent,
+                _ => continue 'op,
+            }
+        }
+        // `find_all` accepts any anchor; `select` additionally requires
+        // the chain to consume the whole path ending at the root — i.e.
+        // the op sits at depth `segments.len() - 1` on a fully-matching
+        // root path.
+        if mode == QueryMode::Select && cur.is_some() {
+            continue;
+        }
+        out.push(id);
+    }
+    out
 }
 
 /// The access path chosen for one query.
@@ -487,5 +554,74 @@ mod tests {
         assert_eq!(c.len(), plan.cardinality());
         let scan_plan = QueryPlan::FullScan { ops: 10 };
         assert!(idx.candidates(&scan_plan).is_none());
+    }
+
+    /// A `supersteps` × 2-worker job with timestamped supersteps.
+    fn job_tree(supersteps: i64) -> OperationTree {
+        let mut t = OperationTree::new();
+        let job = t
+            .add_root(Actor::new("Job", "0"), Mission::new("GiraphJob", "0"))
+            .unwrap();
+        for s in 0..supersteps {
+            let ss = t
+                .add_child(
+                    job,
+                    Actor::new("Job", "0"),
+                    Mission::new("Superstep", s.to_string()),
+                )
+                .unwrap();
+            t.set_info(ss, Info::raw(names::START_TIME, InfoValue::Int(s * 100)))
+                .unwrap();
+            for w in 0..2 {
+                t.add_child(
+                    ss,
+                    Actor::new("Worker", w.to_string()),
+                    Mission::new("Compute", "0"),
+                )
+                .unwrap();
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn evaluate_equals_scan_on_every_access_path() {
+        let queries: Vec<(Query, QueryMode)> = [
+            ("Compute", QueryMode::FindAll),
+            ("Superstep/Compute@Worker-1", QueryMode::FindAll),
+            ("GiraphJob/Superstep/Compute", QueryMode::Select),
+            ("GiraphJob/Superstep-2", QueryMode::Select),
+            ("Superstep[100..300]", QueryMode::FindAll),
+            ("*@Worker", QueryMode::FindAll),
+            ("*-1", QueryMode::FindAll),
+            ("Compute/Nope", QueryMode::FindAll),
+        ]
+        .into_iter()
+        .map(|(s, m)| (Query::parse(s).unwrap(), m))
+        .collect();
+        // 301 ops clear SCAN_THRESHOLD so both access paths run; 16 ops
+        // sit under it, so every query there plans to the scan.
+        for (supersteps, min_indexed) in [(100, 2), (5, 0)] {
+            let t = job_tree(supersteps);
+            let idx = TreeIndex::build(&t);
+            let mut indexed = 0;
+            for (q, mode) in &queries {
+                if !matches!(idx.plan_for(q, *mode), QueryPlan::FullScan { .. }) {
+                    indexed += 1;
+                }
+                assert_eq!(
+                    idx.evaluate(&t, q, *mode),
+                    scan(&t, q, *mode),
+                    "`{q}` ({mode:?})"
+                );
+            }
+            assert!(
+                indexed >= min_indexed,
+                "{supersteps} supersteps: {indexed} indexed"
+            );
+            if t.len() <= SCAN_THRESHOLD {
+                assert_eq!(indexed, 0, "tiny trees always scan");
+            }
+        }
     }
 }

@@ -32,9 +32,10 @@
 //! * [`mutate`] — seedable fault injection (truncation, bit flips, torn
 //!   tails) powering the corruption test harness and `archive fuzz`;
 //! * [`index::TreeIndex`] — kind→ops, actor→ops, and start-time interval
-//!   indexes with a query planner;
-//! * [`engine::QueryEngine`] — the indexed store with a bounded LRU
-//!   result cache, invalidated on `add`/`upsert`.
+//!   indexes with a query planner, evaluated by [`TreeIndex::evaluate`];
+//! * [`shard::ShardedEngine`] — the query engine: sharded stores of
+//!   indexed jobs with per-shard LRU result caches, invalidated on
+//!   `upsert`, behind the [`serve`] daemon.
 //!
 //! ```
 //! use granula_archive::{JobArchive, JobMeta, Query};
@@ -53,7 +54,6 @@ pub mod archive;
 pub mod binfmt;
 pub mod crc;
 pub mod durable;
-pub mod engine;
 pub mod format;
 pub mod index;
 pub mod loadgen;
@@ -70,15 +70,14 @@ pub mod zerocopy;
 
 pub use archive::{JobArchive, JobMeta};
 pub use binfmt::{
-    archive_from_bytes, archive_to_bytes, frame_table, store_from_bytes, store_to_bytes, BinError,
-    FrameInfo, TrailerEntry, BIN_FORMAT_VERSION, FRAME_JOB, FRAME_RUN, FRAME_TRAILER, MAGIC,
-    MAX_VALUE_DEPTH,
+    archive_from_bytes, archive_to_bytes, frame_table, header_version, store_from_bytes,
+    store_to_bytes, BinError, FrameInfo, TrailerEntry, BIN_FORMAT_VERSION, FRAME_JOB, FRAME_RUN,
+    FRAME_TRAILER, MAGIC, MAX_VALUE_DEPTH,
 };
 pub use crc::crc32c;
 pub use durable::write_atomic;
-pub use engine::{EngineStats, QueryEngine, QueryMode, DEFAULT_CACHE_CAPACITY};
 pub use format::{from_json, to_json, to_json_pretty, FormatError, FORMAT_VERSION};
-pub use index::{QueryPlan, TreeIndex, SCAN_FALLBACK_FACTOR, SCAN_THRESHOLD};
+pub use index::{QueryMode, QueryPlan, TreeIndex, SCAN_FALLBACK_FACTOR, SCAN_THRESHOLD};
 pub use loadgen::{run_load, LoadConfig, LoadReport};
 pub use lru::LruMap;
 pub use mmapio::Mapped;
@@ -87,8 +86,8 @@ pub use query::{KindPattern, Query, QueryError, Segment, TimeWindow};
 pub use salvage::{salvage_from_bytes, LostFrame, SalvageReport};
 pub use serve::{format_ids, Server};
 pub use shard::{
-    shard_of, ServeError, ServeOptions, ServeSnapshot, ShardedEngine, DEFAULT_RESIDENT_CAPACITY,
-    DEFAULT_SHARDS,
+    shard_of, ServeError, ServeOptions, ServeSnapshot, ShardedEngine, DEFAULT_CACHE_CAPACITY,
+    DEFAULT_RESIDENT_CAPACITY, DEFAULT_SHARDS,
 };
 pub use store::{ArchiveStore, ComparisonRow, DuplicateJobId, RunMeta};
 pub use swap::{ArcCell, CachedArc};

@@ -30,8 +30,9 @@
 //!   the tree via [`Query::find_all`].
 //!
 //! Results are returned in ascending operation-id order (the tree's
-//! insertion order), which makes query output canonical: the indexed
-//! engine in [`crate::engine`] and the scans here agree byte-for-byte.
+//! insertion order), which makes query output canonical: indexed
+//! evaluation ([`crate::index::TreeIndex::evaluate`]) and the scans here
+//! agree byte-for-byte.
 
 use std::fmt;
 

@@ -27,8 +27,8 @@
 //! automatically; a lockstep client degrades to batches of one.
 //!
 //! **Bit-identical responses:** result ids are rendered by
-//! [`format_ids`], and the serve E2E test renders in-process
-//! [`QueryEngine`](crate::engine::QueryEngine) results through the same
+//! [`format_ids`], and the serve E2E test renders the in-process scan
+//! oracle ([`Query::select`]/[`Query::find_all`]) through the same
 //! function to assert byte equality of what the wire carries.
 
 use std::io::{self, Read, Write};
@@ -38,7 +38,7 @@ use std::sync::Arc;
 
 use granula_model::OpId;
 
-use crate::engine::QueryMode;
+use crate::index::QueryMode;
 use crate::query::Query;
 use crate::shard::ShardedEngine;
 

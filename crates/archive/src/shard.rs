@@ -1,9 +1,6 @@
-//! Sharded, concurrently readable serving engine over archive fleets.
-//!
-//! The [`crate::engine::QueryEngine`] is a single-threaded library: one
-//! store, one cache, `&mut self` everywhere. This module is the serving
-//! shape ROADMAP item 1 asks for — the same query semantics, restructured
-//! for many concurrent clients:
+//! Sharded, concurrently readable serving engine over archive fleets —
+//! the one query engine of this crate, with the result cache repeated
+//! queries need. One-shot callers evaluate a [`TreeIndex`] directly.
 //!
 //! * **Sharding.** Jobs are distributed over [`DEFAULT_SHARDS`] shards by
 //!   an FNV-1a hash of the job id ([`shard_of`]), so unrelated jobs never
@@ -23,11 +20,10 @@
 //! * **Batching.** [`ShardedEngine::query_batch`] groups a batch by
 //!   shard and reuses one snapshot + one cache lock per shard group.
 //!
-//! Evaluation itself is byte-for-byte the engine's: the same planner,
-//! the same `evaluate_candidates`/`scan` functions in `crate::engine`,
-//! so served results are bit-identical to
-//! [`QueryEngine::query`](crate::engine::QueryEngine::query) on the same
-//! store — the equivalence the serve E2E test pins.
+//! Evaluation itself is [`TreeIndex::evaluate`]: the cost-aware planner,
+//! then index candidates or the linear scan, so served results are
+//! bit-identical to [`Query::select`]/[`Query::find_all`] on the same
+//! tree — the equivalence the differential and serve E2E tests pin.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -40,8 +36,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::archive::JobArchive;
 use crate::binfmt::BinError;
-use crate::engine::{evaluate_candidates, scan, QueryMode, DEFAULT_CACHE_CAPACITY};
-use crate::index::TreeIndex;
+use crate::index::{QueryMode, TreeIndex};
 use crate::lru::LruMap;
 use crate::query::Query;
 use crate::store::{ArchiveStore, RunMeta};
@@ -52,6 +47,10 @@ use crate::zerocopy::MappedStore;
 /// modest power of two covers typical fleets; tune via
 /// [`ServeOptions::shards`].
 pub const DEFAULT_SHARDS: usize = 8;
+
+/// Default result-cache capacity per shard (entries, not bytes: archive
+/// query results are id lists, small relative to the archives).
+pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
 /// Default bound on decoded-and-indexed jobs resident per shard.
 pub const DEFAULT_RESIDENT_CAPACITY: usize = 64;
@@ -378,9 +377,8 @@ impl ShardedEngine {
     }
 
     /// Evaluates one query. `None` for an unknown job id; results are
-    /// bit-identical to [`QueryEngine::query`] on the same store.
-    ///
-    /// [`QueryEngine::query`]: crate::engine::QueryEngine::query
+    /// bit-identical to the [`Query::select`]/[`Query::find_all`] scans
+    /// of the job's tree.
     pub fn query(
         &self,
         job_id: &str,
@@ -494,13 +492,8 @@ impl ShardedEngine {
             },
         };
 
-        // Evaluate outside any lock — same planner + evaluators as the
-        // in-process engine, so results are bit-identical.
-        let plan = job.index.plan_for(query, mode);
-        let result = Arc::new(match job.index.candidates(&plan) {
-            Some(candidates) => evaluate_candidates(&job.archive.tree, query, mode, &candidates),
-            None => scan(&job.archive.tree, query, mode),
-        });
+        // Evaluate outside any lock.
+        let result = Arc::new(job.index.evaluate(&job.archive.tree, query, mode));
 
         let mut state = shard.state.lock().expect("shard state poisoned");
         if state.results.insert(
@@ -579,7 +572,6 @@ impl ShardedEngine {
 mod tests {
     use super::*;
     use crate::archive::JobMeta;
-    use crate::engine::QueryEngine;
     use granula_model::{Actor, Mission, OperationTree};
 
     fn archive(job_id: &str, supersteps: i64) -> JobArchive {
@@ -639,10 +631,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_results_match_the_engine_bit_for_bit() {
+    fn sharded_results_match_the_scan_oracle() {
         let store = store_with(&[("a", 40), ("b", 7), ("c", 100)]);
-        let mut engine = QueryEngine::from_store(store.clone());
-        let sharded = ShardedEngine::from_store(store, ServeOptions::default());
+        let sharded = ShardedEngine::from_store(store.clone(), ServeOptions::default());
         for (text, mode) in [
             ("Compute", QueryMode::FindAll),
             ("GiraphJob/Superstep/Compute", QueryMode::Select),
@@ -651,9 +642,13 @@ mod tests {
         ] {
             let q = Query::parse(text).unwrap();
             for job in ["a", "b", "c"] {
-                let want = engine.query(job, &q, mode).unwrap();
+                let tree = &store.get(job).unwrap().tree;
+                let want = match mode {
+                    QueryMode::Select => q.select(tree),
+                    QueryMode::FindAll => q.find_all(tree),
+                };
                 let got = sharded.query(job, &q, mode).unwrap().unwrap();
-                assert_eq!(got, want, "job {job}, query `{text}`");
+                assert_eq!(*got, want, "job {job}, query `{text}`");
             }
         }
         assert!(sharded
@@ -705,6 +700,62 @@ mod tests {
         assert!(Arc::ptr_eq(&x, &y), "second answer is the memo");
         let snap = sharded.snapshot();
         assert_eq!((snap.cache_hits, snap.cache_misses), (1, 1));
+        // Same text, different mode: a distinct entry.
+        sharded.query("a", &q, QueryMode::Select).unwrap().unwrap();
+        assert_eq!(sharded.snapshot().cache_misses, 2);
+    }
+
+    #[test]
+    fn result_cache_evicts_least_recently_used() {
+        let opts = ServeOptions {
+            shards: 1,
+            result_capacity: 2,
+            ..ServeOptions::default()
+        };
+        let sharded = ShardedEngine::from_store(store_with(&[("j", 3)]), opts);
+        let ask = |text: &str| {
+            let q = Query::parse(text).unwrap();
+            sharded.query("j", &q, QueryMode::FindAll).unwrap().unwrap();
+        };
+        ask("Compute");
+        ask("Superstep");
+        // Touch `Compute` so `Superstep` is the LRU, then overflow.
+        ask("Compute");
+        ask("GiraphJob");
+        assert_eq!(sharded.snapshot().result_evictions, 1);
+        // `Compute` survived; `Superstep` was evicted.
+        ask("Compute");
+        assert_eq!(sharded.snapshot().cache_hits, 2);
+        ask("Superstep");
+        assert_eq!(sharded.snapshot().cache_misses, 4);
+    }
+
+    #[test]
+    fn upsert_invalidates_only_that_job() {
+        // `a` and `b` land on different shards, so the swap of a's shard
+        // leaves b's cache generation alone.
+        let opts = ServeOptions::default();
+        assert_ne!(shard_of("a", opts.shards), shard_of("b", opts.shards));
+        let sharded = ShardedEngine::from_store(store_with(&[("a", 3), ("b", 3)]), opts);
+        let q = Query::parse("Compute").unwrap();
+        sharded.query("a", &q, QueryMode::FindAll).unwrap().unwrap();
+        let b_before = sharded.query("b", &q, QueryMode::FindAll).unwrap().unwrap();
+
+        // Upserting `a` with a bigger tree drops a's memo and serves the
+        // fresh result.
+        sharded.upsert(archive("a", 6));
+        let fresh = sharded.query("a", &q, QueryMode::FindAll).unwrap().unwrap();
+        assert_eq!(fresh.len(), 12);
+        assert_eq!(
+            sharded.snapshot().cache_hits,
+            0,
+            "a's stale memo must not serve"
+        );
+
+        // `b` is still cached.
+        let b_after = sharded.query("b", &q, QueryMode::FindAll).unwrap().unwrap();
+        assert!(Arc::ptr_eq(&b_before, &b_after), "b's memo survives");
+        assert_eq!(sharded.snapshot().cache_hits, 1);
     }
 
     #[test]

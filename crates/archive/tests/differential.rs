@@ -1,10 +1,11 @@
-//! Differential tests of the serving layer: the binary format and the
-//! indexed [`QueryEngine`] are checked against the simpler references
-//! they must be observationally identical to —
+//! Differential tests of the serving layer: the binary format, the
+//! indexed evaluation of [`TreeIndex::evaluate`] and the cached
+//! [`ShardedEngine`] are checked against the simpler references they must
+//! be observationally identical to —
 //!
 //! * `save → load → save` produces **byte-identical** files, and a loaded
 //!   store answers every query exactly like the in-memory original;
-//! * the index-routed engine produces exactly the ids, in exactly the
+//! * index-routed evaluation produces exactly the ids, in exactly the
 //!   order, of the linear-scan oracle ([`Query::select`]/
 //!   [`Query::find_all`]), for arbitrary trees and arbitrary grammar-valid
 //!   queries, with and without time windows;
@@ -14,8 +15,8 @@
 use proptest::prelude::*;
 
 use granula_archive::{
-    store_from_bytes, store_to_bytes, ArchiveStore, JobArchive, JobMeta, Query, QueryEngine,
-    QueryMode, SCAN_THRESHOLD,
+    store_from_bytes, store_to_bytes, ArchiveStore, JobArchive, JobMeta, Query, QueryMode,
+    ServeOptions, ShardedEngine, TreeIndex, SCAN_THRESHOLD,
 };
 use granula_model::{names, Actor, Info, InfoValue, Mission, OperationTree};
 
@@ -172,22 +173,21 @@ proptest! {
         }
     }
 
-    /// The indexed engine is observationally identical to the linear-scan
+    /// Indexed evaluation is observationally identical to the linear-scan
     /// oracle: same ids, same order, both anchor modes, window or not.
     #[test]
     fn indexed_results_equal_scan_oracle(
         a in arb_archive("job-a"),
         queries in prop::collection::vec(arb_query_text(), 1..8),
     ) {
-        let tree = a.tree.clone();
-        let mut engine = QueryEngine::new();
-        engine.add(a).expect("fresh id");
+        let tree = &a.tree;
+        let index = TreeIndex::build(tree);
         for text in queries {
             let q = Query::parse(&text).expect("grammar-valid by construction");
-            let selected = engine.query("job-a", &q, QueryMode::Select).expect("job held");
-            prop_assert_eq!(&*selected, &q.select(&tree), "select over `{}`", &text);
-            let found = engine.query("job-a", &q, QueryMode::FindAll).expect("job held");
-            prop_assert_eq!(&*found, &q.find_all(&tree), "find_all over `{}`", &text);
+            let selected = index.evaluate(tree, &q, QueryMode::Select);
+            prop_assert_eq!(&selected, &q.select(tree), "select over `{}`", &text);
+            let found = index.evaluate(tree, &q, QueryMode::FindAll);
+            prop_assert_eq!(&found, &q.find_all(tree), "find_all over `{}`", &text);
         }
     }
 
@@ -200,25 +200,24 @@ proptest! {
         a in arb_big_archive("job-a"),
         queries in prop::collection::vec(arb_query_text(), 1..8),
     ) {
-        let tree = a.tree.clone();
+        let tree = &a.tree;
         prop_assert!(tree.len() > SCAN_THRESHOLD, "archive must clear the threshold");
-        let mut engine = QueryEngine::new();
-        engine.add(a).expect("fresh id");
+        let index = TreeIndex::build(tree);
         for text in queries {
             let q = Query::parse(&text).expect("grammar-valid by construction");
             for mode in [QueryMode::Select, QueryMode::FindAll] {
                 let oracle = match mode {
-                    QueryMode::Select => q.select(&tree),
-                    QueryMode::FindAll => q.find_all(&tree),
+                    QueryMode::Select => q.select(tree),
+                    QueryMode::FindAll => q.find_all(tree),
                 };
-                let got = engine.evaluate("job-a", &q, mode).expect("job held");
+                let got = index.evaluate(tree, &q, mode);
                 prop_assert_eq!(
                     got,
                     oracle,
                     "planner route diverged for `{}` ({:?}, plan {:?})",
                     &text,
                     mode,
-                    engine.explain("job-a", &q, mode)
+                    index.plan_for(&q, mode)
                 );
             }
         }
@@ -237,19 +236,26 @@ proptest! {
             .iter()
             .map(|t| Query::parse(t).expect("grammar-valid"))
             .collect();
-        let mut engine = QueryEngine::new();
-        engine.add(first).expect("fresh id");
+        let mut store = ArchiveStore::new();
+        store.add(first).expect("fresh id");
+        let engine = ShardedEngine::from_store(store, ServeOptions::default());
+        let query = |q: &Query| {
+            engine
+                .query("job-a", q, QueryMode::FindAll)
+                .expect("in-memory jobs never fail to decode")
+                .expect("held")
+        };
         for q in &queries {
             // Twice: the second answer is served from the cache.
-            let x = engine.query("job-a", q, QueryMode::FindAll).expect("held");
-            let y = engine.query("job-a", q, QueryMode::FindAll).expect("held");
+            let x = query(q);
+            let y = query(q);
             prop_assert_eq!(&x, &y, "cached answer diverged for `{}`", q);
         }
-        prop_assert!(engine.stats().cache_hits >= queries.len() as u64);
+        prop_assert!(engine.snapshot().cache_hits >= queries.len() as u64);
+        let tree = second.tree.clone();
         engine.upsert(second);
-        let tree = engine.store().get("job-a").expect("held").tree.clone();
         for q in &queries {
-            let fresh = engine.query("job-a", q, QueryMode::FindAll).expect("held");
+            let fresh = query(q);
             prop_assert_eq!(
                 &*fresh,
                 &q.find_all(&tree),

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 
 use granula_archive::{
-    ArchiveStore, JobArchive, JobMeta, Query, QueryEngine, QueryMode, ServeOptions, ShardedEngine,
+    ArchiveStore, JobArchive, JobMeta, Query, QueryMode, ServeOptions, ShardedEngine,
 };
 use granula_model::{Actor, Mission, OperationTree};
 
@@ -46,15 +46,13 @@ fn job(job_id: &str, supersteps: i64, workers: i64) -> JobArchive {
     )
 }
 
-/// The reference answer for `query` over exactly one archive.
+/// The reference answer for `query` over exactly one archive: the
+/// linear-scan oracle.
 fn expected(archive: &JobArchive, query: &Query, mode: QueryMode) -> Vec<granula_model::OpId> {
-    let mut engine = QueryEngine::new();
-    engine.add(archive.clone()).unwrap();
-    engine
-        .query(&archive.meta.job_id, query, mode)
-        .expect("job exists")
-        .as_ref()
-        .clone()
+    match mode {
+        QueryMode::Select => query.select(&archive.tree),
+        QueryMode::FindAll => query.find_all(&archive.tree),
+    }
 }
 
 #[test]

@@ -9,8 +9,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use granula_archive::{
-    frame_table, ArchiveStore, JobArchive, JobMeta, MappedStore, Query, QueryEngine, QueryMode,
-    ServeOptions, ShardedEngine, FRAME_JOB,
+    frame_table, ArchiveStore, JobArchive, JobMeta, MappedStore, Query, QueryMode, ServeOptions,
+    ShardedEngine, FRAME_JOB,
 };
 use granula_model::{Actor, Mission, OperationTree};
 
@@ -118,9 +118,8 @@ fn mapped_decode_is_bit_identical_to_the_eager_loader() {
     }
 
     // And the query surface agrees byte-for-byte: sharded-over-mmap vs
-    // the in-process engine over the eagerly-loaded store.
+    // the scan oracle over the eagerly-loaded store.
     let sharded = ShardedEngine::open_fleet(&[&path], ServeOptions::default()).unwrap();
-    let mut reference = QueryEngine::from_store(eager);
     for text in [
         "Compute",
         "GiraphJob/Superstep/Compute@Worker-13",
@@ -132,8 +131,12 @@ fn mapped_decode_is_bit_identical_to_the_eager_loader() {
         for mode in [QueryMode::Select, QueryMode::FindAll] {
             for job in ["job-00", "job-05", "job-09"] {
                 let served = sharded.query(job, &query, mode).unwrap().unwrap();
-                let expect = reference.query(job, &query, mode).unwrap();
-                assert_eq!(served, expect, "job {job} query `{text}` mode {mode:?}");
+                let tree = &eager.get(job).unwrap().tree;
+                let expect = match mode {
+                    QueryMode::Select => query.select(tree),
+                    QueryMode::FindAll => query.find_all(tree),
+                };
+                assert_eq!(*served, expect, "job {job} query `{text}` mode {mode:?}");
             }
         }
     }

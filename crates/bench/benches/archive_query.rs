@@ -1,7 +1,7 @@
-//! Archive query microbenchmarks: the indexed [`QueryEngine`] against the
-//! linear scans of `granula_archive::query`.
+//! Archive query microbenchmarks: indexed evaluation and the cached
+//! serving engine against the linear scans of `granula_archive::query`.
 //!
-//! Two archives:
+//! Three archives:
 //!
 //! - `fig5`: the Giraph dg1000 archive the `fig5` binary persists via
 //!   `--archive-out` (hundreds of operations);
@@ -16,14 +16,16 @@
 //! Three access paths per query shape:
 //!
 //! - `scan`: `Query::select`/`find_all` walking every operation;
-//! - `indexed`: `QueryEngine::evaluate` — planner + candidate-list
+//! - `indexed`: `TreeIndex::evaluate` — planner + candidate-list
 //!   evaluation, no result cache;
-//! - `cached`: `QueryEngine::query` in steady state, i.e. an analyst
-//!   re-running the same queries.
+//! - `cached`: `ShardedEngine::query` on a one-shard engine in steady
+//!   state, i.e. an analyst re-running the same queries.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use granula::experiment::{dg1000_quick, Platform};
-use granula_archive::{JobArchive, JobMeta, Query, QueryEngine, QueryMode};
+use granula_archive::{
+    ArchiveStore, JobArchive, JobMeta, Query, QueryMode, ServeOptions, ShardedEngine, TreeIndex,
+};
 use granula_model::{names, Actor, Info, InfoValue, Mission, OperationTree};
 
 /// A synthetic paper-scale archive: `supersteps` × `workers` compute
@@ -121,8 +123,14 @@ fn bench_archive(c: &mut Criterion, group_name: &str, archive: JobArchive) {
     let job_id = archive.meta.job_id.clone();
     let tree = archive.tree.clone();
     println!("{group_name}: {} operations", tree.len());
-    let mut engine = QueryEngine::new();
-    engine.add(archive).expect("fresh id");
+    let index = TreeIndex::build(&tree);
+    let mut store = ArchiveStore::new();
+    store.add(archive).expect("fresh id");
+    let one_shard = ServeOptions {
+        shards: 1,
+        ..ServeOptions::default()
+    };
+    let engine = ShardedEngine::from_store(store, one_shard);
 
     let mut group = c.benchmark_group(group_name);
     group.sample_size(20);
@@ -131,10 +139,15 @@ fn bench_archive(c: &mut Criterion, group_name: &str, archive: JobArchive) {
             b.iter(|| scan(&tree, q, mode))
         });
         group.bench_with_input(BenchmarkId::new("indexed", label), &query, |b, q| {
-            b.iter(|| engine.evaluate(&job_id, q, mode).expect("job held"))
+            b.iter(|| index.evaluate(&tree, q, mode))
         });
         group.bench_with_input(BenchmarkId::new("cached", label), &query, |b, q| {
-            b.iter(|| engine.query(&job_id, q, mode).expect("job held"))
+            b.iter(|| {
+                engine
+                    .query(&job_id, q, mode)
+                    .expect("in-memory jobs never fail to decode")
+                    .expect("job held")
+            })
         });
     }
     group.finish();

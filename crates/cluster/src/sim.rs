@@ -140,7 +140,7 @@ struct Running {
 /// Hot-loop counters, accumulated in locals and flushed to
 /// `granula-trace` once per run.
 #[derive(Default)]
-struct EngineStats {
+struct LoopStats {
     /// Time steps taken: each ends at a completion batch or a fault boundary.
     events: u64,
     /// Progressive-filling passes.
@@ -211,7 +211,7 @@ impl Simulation {
         let _span = granula_trace::span!("engine", "simulate activities={}", graph.len());
         self.check_nodes(graph)?;
         self.check_plan(plan)?;
-        let mut stats = EngineStats::default();
+        let mut stats = LoopStats::default();
         let out = self.simulate(graph, plan, &mut stats);
         granula_trace::counter_add("engine.events_processed", stats.events);
         granula_trace::counter_add("engine.refill_waves", stats.refill_waves);
@@ -225,7 +225,7 @@ impl Simulation {
         &self,
         graph: &ActivityGraph,
         plan: &FaultPlan,
-        stats: &mut EngineStats,
+        stats: &mut LoopStats,
     ) -> Result<SimResult, SimError> {
         let n = graph.len();
         let mut table = ResourceTable::new(&self.cluster);

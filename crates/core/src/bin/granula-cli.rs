@@ -24,10 +24,9 @@ use gpsim_platforms::{Algorithm, JobConfig};
 use granula::analysis::{diagnose, find_choke_points, ChokePointConfig, ChokePointKind};
 use granula::experiment::{run_experiment, Platform};
 use granula::metrics::{DomainBreakdown, Phase};
-use granula::regression::RegressionSuite;
 use granula_archive::{
-    from_json, to_json_pretty, ArchiveStore, JobArchive, LoadConfig, Query, QueryEngine, QueryMode,
-    ServeOptions, Server, ShardedEngine,
+    from_json, header_version, store_from_bytes, to_json_pretty, ArchiveStore, JobArchive,
+    LoadConfig, Query, QueryMode, ServeOptions, Server, ShardedEngine, TreeIndex,
 };
 use granula_regress::{analyze, render_text, History, Status, Tolerance};
 use granula_viz::tree::{render_operation_tree, render_ops};
@@ -527,8 +526,9 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
 
 /// `archive <save|query|stat>` — build, interrogate, and summarize
 /// persistent binary archive stores (`.gar`). `save` packs shared JSON
-/// envelopes into one indexed store; `query` serves path queries through
-/// the indexed [`QueryEngine`]; `stat` reports per-job index shapes.
+/// envelopes into one indexed store; `query` evaluates path queries
+/// through a per-job [`TreeIndex`]; `stat` reports per-job index shapes
+/// and the file's format version.
 fn cmd_archive(args: &[String]) -> Result<(), CliError> {
     match args.first().map(String::as_str) {
         Some("save") => cmd_archive_save(&args[1..]).map_err(CliError::from),
@@ -579,28 +579,22 @@ fn cmd_archive_query(args: &[String]) -> Result<(), String> {
     } else {
         QueryMode::Select
     };
-    let mut engine =
-        QueryEngine::load(store_path).map_err(|e| format!("loading {store_path}: {e}"))?;
-    let jobs: Vec<String> = engine
-        .store()
+    let store = ArchiveStore::load(store_path).map_err(|e| format!("loading {store_path}: {e}"))?;
+    let jobs: Vec<&JobArchive> = store
         .iter()
-        .map(|a| a.meta.job_id.clone())
-        .filter(|id| job_pat == "*" || id == job_pat)
+        .filter(|a| job_pat == "*" || a.meta.job_id == *job_pat)
         .collect();
     if jobs.is_empty() {
         return Err(format!("no job matches `{job_pat}` in {store_path}"));
     }
-    for job_id in jobs {
+    for archive in jobs {
+        let (job_id, tree) = (&archive.meta.job_id, &archive.tree);
+        let index = TreeIndex::build(tree);
         if args.iter().any(|a| a == "--explain") {
-            if let Some(plan) = engine.explain(&job_id, &query, mode) {
-                println!("# {job_id}: plan = {plan}");
-            }
+            println!("# {job_id}: plan = {}", index.plan_for(&query, mode));
         }
-        let hits = engine
-            .query(&job_id, &query, mode)
-            .ok_or_else(|| format!("job `{job_id}` vanished from the store"))?;
+        let hits = index.evaluate(tree, &query, mode);
         println!("{job_id}: {} operations match `{query}`", hits.len());
-        let tree = &engine.store().get(&job_id).expect("job listed above").tree;
         print!("{}", render_ops(tree, &hits));
     }
     Ok(())
@@ -608,15 +602,14 @@ fn cmd_archive_query(args: &[String]) -> Result<(), String> {
 
 fn cmd_archive_stat(args: &[String]) -> Result<(), String> {
     let store_path = positional(args, 0).ok_or("usage: archive stat <store.gar>")?;
-    let engine = QueryEngine::load(store_path).map_err(|e| format!("loading {store_path}: {e}"))?;
-    println!(
-        "{store_path}: {} jobs (format v{})",
-        engine.store().len(),
-        granula_archive::BIN_FORMAT_VERSION
-    );
-    for archive in engine.store().iter() {
+    let loading = |e: granula_archive::BinError| format!("loading {store_path}: {e}");
+    let bytes = fs::read(store_path).map_err(|e| format!("reading {store_path}: {e}"))?;
+    let version = header_version(&bytes).map_err(loading)?;
+    let store = store_from_bytes(&bytes).map_err(loading)?;
+    println!("{store_path}: {} jobs (format v{version})", store.len());
+    for archive in store.iter() {
         let meta = &archive.meta;
-        let idx = engine.index(&meta.job_id).expect("every job is indexed");
+        let idx = TreeIndex::build(&archive.tree);
         println!(
             "  {:<28} {} on {} | {} ops, {} infos | index: {} mission kinds, {} actor kinds, {} timestamped",
             meta.job_id,
@@ -797,7 +790,7 @@ fn cmd_regress(args: &[String]) -> Result<(), String> {
     if history.is_empty() {
         return Err(format!("no .gar stores found under {dir}"));
     }
-    let (report, analyzed) = analyze(&mut history, &tol);
+    let (report, analyzed) = analyze(&history, &tol);
     print!("{}", render_text(&report));
     let out = flag(args, "--out").unwrap_or_else(|| "regress.json".to_string());
     let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
@@ -956,36 +949,42 @@ fn cmd_regression(args: &[String]) -> Result<(), String> {
         .map(|v| v.parse().map_err(|e| format!("--tolerance: {e}")))
         .transpose()?
         .unwrap_or(0.10);
-    let mut suite = RegressionSuite::new(tolerance);
-    suite.add_baseline(load_archive(baseline)?);
-    let cand = load_archive(candidate)?;
-    let report = suite
-        .check(&cand)
-        .ok_or("baseline and candidate do not share (platform, algorithm, dataset)")?;
-    if report.passed() {
+    let (base, cand) = (load_archive(baseline)?, load_archive(candidate)?);
+    let (b, c) = (&base.meta, &cand.meta);
+    if (&b.platform, &b.algorithm, &b.dataset) != (&c.platform, &c.algorithm, &c.dataset) {
+        return Err("baseline and candidate do not share (platform, algorithm, dataset)".into());
+    }
+    let tol = Tolerance {
+        rel: tolerance,
+        min_runs: 2,
+        ..Tolerance::default()
+    };
+    let (report, _) = analyze(&History::pair(base, cand), &tol);
+    let mut regressed: Vec<_> = report.with_status(Status::Regressed).collect();
+    let mut improved: Vec<_> = report.with_status(Status::Improved).collect();
+    regressed.sort_by(|a, b| b.effect.total_cmp(&a.effect));
+    improved.sort_by(|a, b| a.effect.total_cmp(&b.effect));
+    let line = |m: &granula_regress::MetricReport| {
+        format!(
+            "{:<20} {:>9.2}s -> {:>9.2}s  ({:+.1}%)",
+            m.metric,
+            m.baseline_mean_us / 1e6,
+            m.current_us / 1e6,
+            100.0 * m.effect
+        )
+    };
+    if regressed.is_empty() {
         println!("PASS: no phase regressed beyond {:.0}%", tolerance * 100.0);
     } else {
         println!("FAIL:");
-        for r in &report.regressions {
-            println!(
-                "  {:<14} {:>9.2}s -> {:>9.2}s  ({:+.1}%)",
-                r.subject,
-                r.baseline_us as f64 / 1e6,
-                r.candidate_us as f64 / 1e6,
-                100.0 * r.change
-            );
+        for m in &regressed {
+            println!("  {}", line(m));
         }
     }
-    for r in &report.improvements {
-        println!(
-            "  improved: {:<14} {:>9.2}s -> {:>9.2}s  ({:+.1}%)",
-            r.subject,
-            r.baseline_us as f64 / 1e6,
-            r.candidate_us as f64 / 1e6,
-            100.0 * r.change
-        );
+    for m in &improved {
+        println!("  improved: {}", line(m));
     }
-    if report.passed() {
+    if regressed.is_empty() {
         Ok(())
     } else {
         Err("performance regression detected".into())

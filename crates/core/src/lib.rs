@@ -24,8 +24,10 @@
 //!   paper §3.4 and Figure 5),
 //! * the platform-diversity registry ([`registry`], paper Table 1),
 //! * the calibrated dg1000/DAS5 experiment setup ([`calibration`],
-//!   [`experiment`]) used to regenerate the paper's figures,
-//! * a performance-regression harness ([`regression`], paper §6).
+//!   [`experiment`]) used to regenerate the paper's figures.
+//!
+//! Performance-regression gates over archives (paper §6) live in the
+//! `granula-regress` crate.
 
 pub mod analysis;
 pub mod benchmark;
@@ -36,7 +38,6 @@ pub mod metrics;
 pub mod models;
 pub mod process;
 pub mod registry;
-pub mod regression;
 
 pub use analysis::{diagnose, find_choke_points, ChokePoint, ChokePointConfig, FailureReport};
 pub use benchmark::{BenchmarkReport, BenchmarkRow, BenchmarkSuite};

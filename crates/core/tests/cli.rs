@@ -128,6 +128,77 @@ fn regression_passes_identical_and_fails_slower() {
 }
 
 #[test]
+fn regression_lists_worst_first_and_requires_one_workload() {
+    let dir = workdir("regression-order");
+    let baseline = run_job(&dir, "base", &[]);
+    let slower = run_job(&dir, "slower", &["--nodes", "4"]);
+    let fail = cli()
+        .args([
+            "regression",
+            baseline.to_str().unwrap(),
+            slower.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(!fail.status.success());
+    let text = String::from_utf8_lossy(&fail.stdout);
+    // `  <metric>  <base>s ->  <cand>s  (+x.y%)`, one line per regression.
+    let changes: Vec<f64> = text
+        .lines()
+        .skip_while(|l| !l.starts_with("FAIL:"))
+        .skip(1)
+        .take_while(|l| !l.contains("improved:"))
+        .map(|l| {
+            let pct = l.rsplit('(').next().unwrap().trim_end_matches("%)");
+            pct.parse().unwrap()
+        })
+        .collect();
+    assert!(changes.len() >= 2, "{text}");
+    assert!(changes.windows(2).all(|w| w[0] >= w[1]), "{text}");
+    assert!(text.contains("makespan"), "{text}");
+
+    // A different platform, algorithm or dataset is a different workload:
+    // no comparison.
+    for (name, platform, algorithm, vertices) in [
+        ("pg", "powergraph", "bfs", "2500"),
+        ("pr", "giraph", "pagerank", "2500"),
+        ("small", "giraph", "bfs", "2000"),
+    ] {
+        let other = dir.join(format!("{name}.json"));
+        let run = cli()
+            .args([
+                "run",
+                "--platform",
+                platform,
+                "--algorithm",
+                algorithm,
+                "--vertices",
+                vertices,
+                "--out",
+                other.to_str().unwrap(),
+            ])
+            .output()
+            .unwrap();
+        assert!(run.status.success(), "{name}");
+        let mismatch = cli()
+            .args([
+                "regression",
+                baseline.to_str().unwrap(),
+                other.to_str().unwrap(),
+            ])
+            .output()
+            .unwrap();
+        assert!(!mismatch.status.success(), "{name}");
+        assert!(
+            String::from_utf8_lossy(&mismatch.stderr)
+                .contains("do not share (platform, algorithm, dataset)"),
+            "{name}"
+        );
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn html_report_written() {
     let dir = workdir("report");
     let report = dir.join("r.html");
@@ -306,6 +377,46 @@ fn archive_save_query_stat_roundtrip() {
         .unwrap();
     assert!(!bad.status.success());
 
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn archive_stat_reports_the_version_of_the_file_it_read() {
+    // The committed fixture history predates format v3.
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/history/r1.gar");
+    let old = cli()
+        .args(["archive", "stat", fixture.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        old.status.success(),
+        "{}",
+        String::from_utf8_lossy(&old.stderr)
+    );
+    let text = String::from_utf8_lossy(&old.stdout);
+    assert!(text.contains("2 jobs (format v2)"), "{text}");
+
+    // A store written now is in the current format.
+    let dir = workdir("stat-version");
+    let a = run_job(&dir, "a", &[]);
+    let fresh = dir.join("fresh.gar");
+    let save = cli()
+        .args([
+            "archive",
+            "save",
+            fresh.to_str().unwrap(),
+            a.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(save.status.success());
+    let new = cli()
+        .args(["archive", "stat", fresh.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(new.status.success());
+    let text = String::from_utf8_lossy(&new.stdout);
+    assert!(text.contains("1 jobs (format v3)"), "{text}");
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -1,6 +1,6 @@
 //! Integration tests of the serving surface of `granula-cli`: the
 //! `serve` daemon end-to-end over TCP (responses bit-identical to the
-//! in-process `QueryEngine`), the `loadgen` benchmark client, and the
+//! in-process scan oracle), the `loadgen` benchmark client, and the
 //! `archive fsck` exit-code contract CI gates on.
 
 use std::fs;
@@ -10,8 +10,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
 use granula_archive::{
-    format_ids, frame_table, ArchiveStore, JobArchive, JobMeta, Query, QueryEngine, QueryMode,
-    FRAME_JOB,
+    format_ids, frame_table, ArchiveStore, JobArchive, JobMeta, Query, QueryMode, FRAME_JOB,
 };
 use granula_model::{Actor, Mission, OperationTree};
 
@@ -204,7 +203,7 @@ fn roundtrip(stream: &mut TcpStream, request: &str) -> String {
 }
 
 #[test]
-fn serve_daemon_responses_are_bit_identical_to_query_engine() {
+fn serve_daemon_responses_are_bit_identical_to_the_scan_oracle() {
     let dir = workdir("e2e");
     let f1 = dir.join("f1.gar");
     let f2 = dir.join("f2.gar");
@@ -216,12 +215,12 @@ fn serve_daemon_responses_are_bit_identical_to_query_engine() {
     assert_eq!(roundtrip(&mut conn, "PING"), "PONG");
     assert_eq!(roundtrip(&mut conn, "JOBS"), "JOBS 3 alpha beta gamma");
 
-    // The reference: an in-process engine over the union of both files,
+    // The reference: the scan oracle over the union of both files,
     // rendered through the same wire formatter.
-    let mut engine = QueryEngine::new();
+    let mut union = ArchiveStore::new();
     for path in [&f1, &f2] {
         for a in ArchiveStore::load(path).unwrap().iter() {
-            engine.add(a.clone()).unwrap();
+            union.add(a.clone()).unwrap();
         }
     }
     let cases = [
@@ -234,9 +233,11 @@ fn serve_daemon_responses_are_bit_identical_to_query_engine() {
     for job in ["alpha", "beta", "gamma"] {
         for (wire_mode, text, mode) in &cases {
             let served = roundtrip(&mut conn, &format!("Q {wire_mode} {job} {text}"));
-            let want = engine
-                .query(job, &Query::parse(text).unwrap(), *mode)
-                .unwrap();
+            let (query, tree) = (Query::parse(text).unwrap(), &union.get(job).unwrap().tree);
+            let want = match mode {
+                QueryMode::Select => query.select(tree),
+                QueryMode::FindAll => query.find_all(tree),
+            };
             let expected = format!("OK {} {}", want.len(), format_ids(&want));
             assert_eq!(served, expected, "job {job}, query `{text}`");
         }

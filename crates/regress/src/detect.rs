@@ -124,6 +124,29 @@ pub fn detect(series: &[f64], tol: &Tolerance) -> Detection {
             change: None,
         };
     }
+    if n == 2 {
+        // A one-run baseline has no variance to test against: the band
+        // alone decides, strictly (a shift of exactly `rel` passes).
+        let (base, latest) = (series[0], series[1]);
+        let effect = (latest - base) / base.abs().max(f64::EPSILON);
+        let status = if effect > tol.rel {
+            Status::Regressed
+        } else if effect < -tol.rel {
+            Status::Improved
+        } else {
+            Status::Ok
+        };
+        return Detection {
+            status,
+            first_offending: (status != Status::Ok).then_some(1),
+            effect,
+            p_value: 1.0,
+            baseline_mean: base,
+            baseline_std: 0.0,
+            n_baseline: 1,
+            change: None,
+        };
+    }
     if let Some(cp) = changepoint_scan(series, tol.window, tol.alpha, tol.rel) {
         let (m, s) = mean_std(&series[..cp.index]);
         let effect = (cp.after_mean - cp.before_mean) / cp.before_mean.abs().max(f64::EPSILON);
@@ -204,6 +227,25 @@ mod tests {
         let d = detect(&[1.0, 2.0], &Tolerance::default());
         assert_eq!(d.status, Status::Insufficient);
         assert_eq!(d.p_value, 1.0);
+    }
+
+    #[test]
+    fn one_run_baseline_is_decided_by_the_band_alone() {
+        let tol = Tolerance {
+            rel: 0.10,
+            min_runs: 2,
+            ..Tolerance::default()
+        };
+        let d = detect(&[100.0, 130.0], &tol);
+        assert_eq!(d.status, Status::Regressed);
+        assert_eq!(d.first_offending, Some(1));
+        assert!((d.effect - 0.30).abs() < 1e-12);
+        assert_eq!((d.baseline_mean, d.n_baseline), (100.0, 1));
+        assert_eq!(detect(&[100.0, 80.0], &tol).status, Status::Improved);
+        assert_eq!(detect(&[100.0, 105.0], &tol).status, Status::Ok);
+        // The band is strict: a shift of exactly `rel` either way passes.
+        assert_eq!(detect(&[100_000.0, 110_000.0], &tol).status, Status::Ok);
+        assert_eq!(detect(&[100_000.0, 90_000.0], &tol).status, Status::Ok);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Archive history: a directory of `.gar` stores ordered into a time
-//! series by their embedded [`RunMeta`] headers, with per-run query
-//! engines and metric-series extraction.
+//! series by their embedded [`RunMeta`] headers, with metric-series
+//! extraction.
 
 use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
-use granula_archive::{ArchiveStore, Query, QueryEngine, QueryMode, RunMeta};
+use granula_archive::{ArchiveStore, JobArchive, RunMeta};
 use serde::{Deserialize, Serialize};
 
 /// Mission kinds reported as per-phase cost metrics, the choke-point
@@ -31,10 +31,9 @@ pub struct RunEntry {
     pub meta: RunMeta,
     /// Where the run came from: a file name, or a caller-given tag.
     pub source: String,
-    /// The indexed engine serving this run's archives. Public so tests
-    /// and tools can interleave queries with `upsert` against a live
-    /// history.
-    pub engine: QueryEngine,
+    /// This run's archives. Public so tests and tools can `upsert` into
+    /// a live history between extractions.
+    pub store: ArchiveStore,
 }
 
 /// One metric's value across the history, oldest run first.
@@ -122,7 +121,7 @@ impl History {
         self.runs.push(RunEntry {
             meta,
             source,
-            engine: QueryEngine::from_store(store),
+            store,
         });
         self.runs.sort_by(|a, b| {
             let ka = a.meta.sort_key();
@@ -147,6 +146,24 @@ impl History {
         }
         let store = store.with_run(meta);
         self.push_store(store, source);
+    }
+
+    /// A two-run history for a pairwise check: `baseline` as the only
+    /// history run and `candidate` as the run under test, filed under the
+    /// baseline's job id so their series line up.
+    pub fn pair(baseline: JobArchive, mut candidate: JobArchive) -> Self {
+        candidate.meta.job_id = baseline.meta.job_id.clone();
+        let single = |archive: JobArchive| {
+            let mut store = ArchiveStore::new();
+            store
+                .add(archive)
+                .expect("an empty store has no duplicates");
+            store
+        };
+        let mut history = History::new();
+        history.push_store(single(baseline), "baseline");
+        history.push_latest(single(candidate), "candidate");
+        history
     }
 
     /// The ordered runs.
@@ -175,31 +192,14 @@ impl History {
     }
 
     /// Extracts every metric series: per job, the makespan plus each
-    /// non-zero phase cost. Phase costs are computed through the query
-    /// engine ([`QueryMode::FindAll`] over the phase kind), so repeated
-    /// extraction exercises the planner and the result cache rather than
-    /// re-walking the trees.
-    pub fn series(&mut self) -> Vec<MetricSeries> {
+    /// non-zero phase cost, the summed duration of every operation of the
+    /// phase's mission kind ([`JobArchive::total_duration_of_us`]).
+    pub fn series(&self) -> Vec<MetricSeries> {
         let _span = granula_trace::span!("archiving", "history.series runs={}", self.runs.len());
-        let queries: Vec<(String, Query)> = PHASE_KINDS
-            .iter()
-            .map(|k| {
-                (
-                    format!("phase/{k}"),
-                    Query::parse(k).expect("phase kinds are valid queries"),
-                )
-            })
-            .collect();
         let mut map: BTreeMap<(String, String), MetricSeries> = BTreeMap::new();
-        for run_idx in 0..self.runs.len() {
-            let job_ids: Vec<String> = self.runs[run_idx]
-                .engine
-                .store()
-                .iter()
-                .map(|a| a.meta.job_id.clone())
-                .collect();
-            for job_id in job_ids {
-                let engine = &mut self.runs[run_idx].engine;
+        for (run_idx, run) in self.runs.iter().enumerate() {
+            for archive in run.store.iter() {
+                let job_id = &archive.meta.job_id;
                 let mut push = |metric: &str, value: f64| {
                     let entry = map
                         .entry((job_id.clone(), metric.to_string()))
@@ -212,24 +212,13 @@ impl History {
                     entry.values.push(value);
                     entry.run_indexes.push(run_idx);
                 };
-                if let Some(total) = engine
-                    .store()
-                    .get(&job_id)
-                    .and_then(|a| a.total_runtime_us())
-                {
+                if let Some(total) = archive.total_runtime_us() {
                     push(MAKESPAN, total as f64);
                 }
-                for (metric, query) in &queries {
-                    let Some(ids) = engine.query(&job_id, query, QueryMode::FindAll) else {
-                        continue;
-                    };
-                    let archive = engine.store().get(&job_id).expect("job id just queried");
-                    let total: u64 = ids
-                        .iter()
-                        .filter_map(|&id| archive.tree.op(id).duration_us())
-                        .sum();
+                for kind in PHASE_KINDS {
+                    let total = archive.total_duration_of_us(kind);
                     if total > 0 {
-                        push(metric, total as f64);
+                        push(&format!("phase/{kind}"), total as f64);
                     }
                 }
             }

@@ -94,7 +94,7 @@ pub struct AnalyzedSeries {
 
 /// Runs detection over every metric series of `history` and assembles
 /// the report plus the per-series detail (for rendering).
-pub fn analyze(history: &mut History, tol: &Tolerance) -> (RegressReport, Vec<AnalyzedSeries>) {
+pub fn analyze(history: &History, tol: &Tolerance) -> (RegressReport, Vec<AnalyzedSeries>) {
     let run_id_of = |history: &History, idx: usize| history.runs()[idx].meta.run_id.clone();
     let all_series = history.series();
     let mut metrics = Vec::with_capacity(all_series.len());
@@ -202,7 +202,7 @@ fn format_us(us: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::history::History;
+    use crate::history::{History, MAKESPAN};
     use crate::synth::scaled_store;
     use granula_archive::{ArchiveStore, JobArchive, JobMeta, RunMeta};
     use granula_model::{names, Actor, Info, InfoValue, Mission, OperationTree};
@@ -242,8 +242,8 @@ mod tests {
 
     #[test]
     fn stable_history_verdict_is_ok() {
-        let mut h = history(&[1.0, 1.001, 0.999, 1.0005, 0.9995, 1.0]);
-        let (report, analyzed) = analyze(&mut h, &Tolerance::default());
+        let h = history(&[1.0, 1.001, 0.999, 1.0005, 0.9995, 1.0]);
+        let (report, analyzed) = analyze(&h, &Tolerance::default());
         assert_eq!(report.verdict, Status::Ok);
         assert_eq!(report.schema_version, SCHEMA_VERSION);
         assert_eq!(report.runs.len(), 6);
@@ -254,8 +254,8 @@ mod tests {
 
     #[test]
     fn shifted_history_names_the_offending_run() {
-        let mut h = history(&[1.0, 1.001, 0.999, 1.0005, 1.05, 1.051, 1.049, 1.0505]);
-        let (report, _) = analyze(&mut h, &Tolerance::default());
+        let h = history(&[1.0, 1.001, 0.999, 1.0005, 1.05, 1.051, 1.049, 1.0505]);
+        let (report, _) = analyze(&h, &Tolerance::default());
         assert_eq!(report.verdict, Status::Regressed);
         let m = &report.metrics[0];
         assert_eq!(m.status, Status::Regressed);
@@ -266,8 +266,8 @@ mod tests {
 
     #[test]
     fn report_round_trips_through_json() {
-        let mut h = history(&[1.0, 1.001, 0.999, 1.0005]);
-        let (report, _) = analyze(&mut h, &Tolerance::default());
+        let h = history(&[1.0, 1.001, 0.999, 1.0005]);
+        let (report, _) = analyze(&h, &Tolerance::default());
         let json = serde_json::to_string_pretty(&report).unwrap();
         let back: RegressReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
@@ -296,9 +296,9 @@ mod tests {
                 .unwrap();
         }
         std::fs::write(dir.join("crashed.gar"), b"GRNA torn to bits").unwrap();
-        let mut h = History::load_dir(&dir).unwrap();
+        let h = History::load_dir(&dir).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
-        let (report, _) = analyze(&mut h, &Tolerance::default());
+        let (report, _) = analyze(&h, &Tolerance::default());
         assert_eq!(report.verdict, Status::Ok, "6 good runs still analyze");
         assert_eq!(report.skipped_runs.len(), 1);
         assert_eq!(report.skipped_runs[0].source, "crashed.gar");
@@ -322,27 +322,132 @@ mod tests {
         }
         std::fs::write(dir.join("bad1.gar"), b"zzzz").unwrap();
         std::fs::write(dir.join("bad2.gar"), b"").unwrap();
-        let mut h = History::load_dir(&dir).unwrap();
+        let h = History::load_dir(&dir).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
-        let (report, _) = analyze(&mut h, &Tolerance::default());
+        let (report, _) = analyze(&h, &Tolerance::default());
         assert_eq!(report.verdict, Status::Insufficient);
         assert_eq!(report.skipped_runs.len(), 2);
     }
 
     #[test]
     fn text_rendering_mentions_status_and_verdict() {
-        let mut h = history(&[1.0, 1.001, 0.999, 1.0005, 1.05, 1.051, 1.049, 1.05]);
-        let (report, _) = analyze(&mut h, &Tolerance::default());
+        let h = history(&[1.0, 1.001, 0.999, 1.0005, 1.05, 1.051, 1.049, 1.05]);
+        let (report, _) = analyze(&h, &Tolerance::default());
         let text = render_text(&report);
         assert!(text.contains("verdict: regressed"));
         assert!(text.contains("since r4"));
         assert!(text.contains("g makespan"));
     }
 
+    /// A job whose root lasts `total` µs, with a `load` µs LoadGraph.
+    fn job(job_id: &str, total: i64, load: i64) -> JobArchive {
+        let mut t = OperationTree::new();
+        let root = t
+            .add_root(Actor::new("Job", "0"), Mission::new("Job", "0"))
+            .unwrap();
+        let l = t
+            .add_child(root, Actor::new("Job", "0"), Mission::new("LoadGraph", "0"))
+            .unwrap();
+        for (id, end) in [(root, total), (l, load)] {
+            t.set_info(id, Info::raw(names::START_TIME, InfoValue::Int(0)))
+                .unwrap();
+            t.set_info(id, Info::raw(names::END_TIME, InfoValue::Int(end)))
+                .unwrap();
+        }
+        JobArchive::new(
+            JobMeta {
+                job_id: job_id.into(),
+                platform: "Giraph".into(),
+                ..JobMeta::default()
+            },
+            t,
+        )
+    }
+
+    /// Pairwise check of `candidate` against `baseline` under a ±10% band.
+    fn pairwise(candidate: JobArchive) -> RegressReport {
+        let tol = Tolerance {
+            rel: 0.10,
+            min_runs: 2,
+            ..Tolerance::default()
+        };
+        let h = History::pair(job("base", 100_000, 40_000), candidate);
+        analyze(&h, &tol).0
+    }
+
+    fn effect_of(report: &RegressReport, metric: &str) -> (Status, f64) {
+        let m = report.metrics.iter().find(|m| m.metric == metric).unwrap();
+        (m.status, m.effect)
+    }
+
+    #[test]
+    fn pairwise_within_band_passes() {
+        let report = pairwise(job("cand", 105_000, 41_000));
+        assert_eq!(report.verdict, Status::Ok, "{report:?}");
+        assert_eq!(report.metrics.len(), 2, "makespan + phase/LoadGraph");
+    }
+
+    #[test]
+    fn pairwise_slowdown_beyond_band_regresses() {
+        let report = pairwise(job("cand", 130_000, 80_000));
+        assert_eq!(report.verdict, Status::Regressed);
+        let (status, effect) = effect_of(&report, "phase/LoadGraph");
+        assert_eq!(status, Status::Regressed);
+        assert!((effect - 1.0).abs() < 1e-9, "+100%: {effect}");
+        let (status, effect) = effect_of(&report, MAKESPAN);
+        assert_eq!(status, Status::Regressed);
+        assert!((effect - 0.3).abs() < 1e-9, "+30%: {effect}");
+        for m in &report.metrics {
+            assert_eq!(m.first_offending_run.as_deref(), Some("current"));
+        }
+    }
+
+    #[test]
+    fn pairwise_improvement_is_reported_separately() {
+        let report = pairwise(job("cand", 80_000, 20_000));
+        assert_eq!(report.verdict, Status::Improved);
+        assert_eq!(report.with_status(Status::Regressed).count(), 0);
+        let (status, effect) = effect_of(&report, "phase/LoadGraph");
+        assert_eq!(status, Status::Improved);
+        assert!((effect + 0.5).abs() < 1e-9, "-50%: {effect}");
+    }
+
+    #[test]
+    fn unmatched_workload_has_nothing_to_compare() {
+        // Without `History::pair` filing the candidate under the
+        // baseline's job id, no series spans both runs.
+        let mut h = History::new();
+        for (archive, source) in [
+            (job("base", 100_000, 40_000), "base.gar"),
+            (job("other", 500_000, 400_000), "other.gar"),
+        ] {
+            let mut store = ArchiveStore::new();
+            store.add(archive).unwrap();
+            h.push_latest(store, source);
+        }
+        let tol = Tolerance {
+            rel: 0.10,
+            min_runs: 2,
+            ..Tolerance::default()
+        };
+        let (report, _) = analyze(&h, &tol);
+        assert_eq!(report.verdict, Status::Insufficient);
+        assert!(report.metrics.iter().all(|m| m.n_baseline <= 1));
+    }
+
+    #[test]
+    fn pairwise_band_is_strict_at_exactly_rel() {
+        // +10% on every metric under a 10% band: not a regression.
+        let report = pairwise(job("cand", 110_000, 44_000));
+        assert_eq!(report.verdict, Status::Ok, "{report:?}");
+        let (_, effect) = effect_of(&report, MAKESPAN);
+        assert_eq!(effect, 0.10);
+    }
+
     #[test]
     fn empty_history_is_insufficient() {
-        let mut h = History::new();
-        let (report, _) = analyze(&mut h, &Tolerance::default());
+        let h = History::new();
+        let (report, _) = analyze(&h, &Tolerance::default());
         assert_eq!(report.verdict, Status::Insufficient);
         assert!(report.metrics.is_empty());
     }

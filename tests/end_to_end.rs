@@ -5,7 +5,6 @@ use gpsim_graph::gen::{datagen_like, GenConfig};
 use gpsim_platforms::Algorithm;
 use granula::experiment::{dg1000_quick, run_experiment, Platform};
 use granula::metrics::{DomainBreakdown, Phase};
-use granula::regression::RegressionSuite;
 use granula_archive::{from_json, to_json, ArchiveStore, Query};
 use granula_regress::{analyze, History, Status, Tolerance};
 
@@ -104,20 +103,29 @@ fn regression_suite_detects_injected_slowdown_end_to_end() {
     let mut cfg = granula::calibration::giraph_dg1000_job();
     cfg.scale_factor = scale;
     let baseline = run_experiment(Platform::Giraph, &graph, &cfg).unwrap();
-    let mut suite = RegressionSuite::new(0.10);
-    suite.add_baseline(baseline.report.archive);
+    let tol = Tolerance {
+        rel: 0.10,
+        min_runs: 2,
+        ..Tolerance::default()
+    };
+    let check = |candidate: granula_archive::JobArchive| {
+        let history = History::pair(baseline.report.archive.clone(), candidate);
+        analyze(&history, &tol).0
+    };
 
     // Unchanged config: deterministic simulation -> identical archive.
     let same = run_experiment(Platform::Giraph, &graph, &cfg).unwrap();
-    assert!(suite.check(&same.report.archive).unwrap().passed());
+    assert_eq!(check(same.report.archive).verdict, Status::Ok);
 
     // Injected slowdown: halve the worker threads.
     let mut bad = cfg.clone();
     bad.costs.worker_threads /= 4;
     let worse = run_experiment(Platform::Giraph, &graph, &bad).unwrap();
-    let report = suite.check(&worse.report.archive).unwrap();
-    assert!(!report.passed());
-    assert!(report.regressions.iter().any(|r| r.subject == "total"));
+    let report = check(worse.report.archive);
+    assert_eq!(report.verdict, Status::Regressed);
+    assert!(report
+        .with_status(Status::Regressed)
+        .any(|m| m.metric == "makespan"));
 }
 
 /// The headline numbers of the paper's §4.2 comparison at full dg1000
@@ -159,7 +167,7 @@ fn headline_makespans_stay_inside_the_trend_band() {
     let mut history = History::load_dir(&fixtures).expect("committed fixture history");
     assert!(history.len() >= 5, "fixture corpus holds at least 5 runs");
     history.push_latest(store, "current");
-    let (report, _) = analyze(&mut history, &Tolerance::default());
+    let (report, _) = analyze(&history, &Tolerance::default());
     for m in &report.metrics {
         assert_eq!(
             m.status,

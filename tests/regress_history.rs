@@ -67,7 +67,7 @@ fn fresh_fig5_run_is_ok_and_injected_slowdown_is_regressed() {
     let mut history = History::load_dir(history_dir()).expect("fixture history exists");
     assert_eq!(history.len(), JITTER.len(), "committed fixture count");
     history.push_latest(base.clone(), "current.gar");
-    let (report, _) = analyze(&mut history, &Tolerance::default());
+    let (report, _) = analyze(&history, &Tolerance::default());
     assert_eq!(
         report.verdict,
         Status::Ok,
@@ -95,7 +95,7 @@ fn fresh_fig5_run_is_ok_and_injected_slowdown_is_regressed() {
     // offending run is the run under test.
     let mut history = History::load_dir(history_dir()).expect("fixture history exists");
     history.push_latest(scaled_store(&base, 1.05), "slow.gar");
-    let (report, _) = analyze(&mut history, &Tolerance::default());
+    let (report, _) = analyze(&history, &Tolerance::default());
     assert_eq!(report.verdict, Status::Regressed);
     let makespans: Vec<_> = report
         .metrics
@@ -153,7 +153,7 @@ fn mid_history_shift_names_the_onset_run() {
             format!("r{i}.gar"),
         );
     }
-    let (report, _) = analyze(&mut history, &Tolerance::default());
+    let (report, _) = analyze(&history, &Tolerance::default());
     assert_eq!(report.verdict, Status::Regressed);
     let makespan = report
         .metrics
@@ -169,9 +169,8 @@ fn mid_history_shift_names_the_onset_run() {
     assert_eq!(makespan.n_baseline, 5);
 }
 
-/// Satellite: upserting an archive into a live history invalidates the
-/// engine's cached query results, so re-extracted series see the new
-/// timings instead of stale memos.
+/// Upserting an archive into a live history: re-extracted series see
+/// the new timings, and the other runs are untouched.
 #[test]
 fn upsert_mid_ingest_invalidates_cached_series() {
     let result = dg1000_quick(Platform::Giraph, 8_000);
@@ -189,22 +188,12 @@ fn upsert_mid_ingest_invalidates_cached_series() {
     }
     let first = history.series();
 
-    // Replace the newest run's archive with a 10%-slower tree, through
-    // the engine so its result cache is invalidated.
+    // Replace the newest run's archive with a 10%-slower tree.
     let last = history.len() - 1;
-    let mut slowed = history
-        .run_mut(last)
-        .engine
-        .store()
-        .get(&job_id)
-        .unwrap()
-        .clone();
+    let store = &mut history.run_mut(last).store;
+    let mut slowed = store.get(&job_id).unwrap().clone();
     scale_timings(&mut slowed.tree, 1.10);
-    history.run_mut(last).engine.upsert(slowed);
-    assert!(
-        history.run_mut(last).engine.stats().invalidations > 0,
-        "the first extraction cached phase queries for this job"
-    );
+    store.upsert(slowed);
 
     let second = history.series();
     assert_eq!(first.len(), second.len());
