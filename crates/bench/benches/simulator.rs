@@ -90,6 +90,62 @@ fn bench_contention(c: &mut Criterion) {
     group.finish();
 }
 
+/// `rounds` all-to-all exchanges on 32 nodes: per round, every ordered
+/// node pair moves one transfer (992 at once) while each node runs two
+/// computes, joined by a barrier. Transfer sizes and compute works are
+/// staggered so completions arrive in many separate events. This is the
+/// contention shape of a scaled-out PageRank superstep.
+fn all_to_all_dag(rounds: u32) -> ActivityGraph {
+    const NODES: u16 = 32;
+    let mut g = ActivityGraph::new();
+    let mut barrier = g.barrier(&[], "start");
+    for r in 0..rounds {
+        let mut stage = Vec::new();
+        for src in 0..NODES {
+            for k in 0..2u32 {
+                stage.push(g.add(
+                    ActivityKind::Compute {
+                        node: NodeId(src),
+                        work_core_us: 2e5 * (1 + (src as u32 + k) % 5) as f64,
+                        parallelism: [4, 8, 16, 32][((src as u32 + k) % 4) as usize],
+                    },
+                    &[barrier],
+                    format!("r{r}/c{src}.{k}"),
+                ));
+            }
+            for dst in (0..NODES).filter(|&d| d != src) {
+                let size = 1 + (src as u32 * 7 + dst as u32 * 13) % 64;
+                stage.push(g.add(
+                    ActivityKind::Transfer {
+                        src: NodeId(src),
+                        dst: NodeId(dst),
+                        bytes: 2.5e5 * size as f64,
+                    },
+                    &[barrier],
+                    format!("r{r}/t{src}.{dst}"),
+                ));
+            }
+        }
+        barrier = g.barrier(&stage, format!("r{r}/join"));
+    }
+    g
+}
+
+fn bench_all_to_all(c: &mut Criterion) {
+    let cluster = ClusterSpec::das5(32);
+    let mut group = c.benchmark_group("fair_share_all_to_all");
+    let dag = all_to_all_dag(1);
+    group.bench_with_input(
+        BenchmarkId::from_parameter(format!("32nodes_{}acts", dag.len())),
+        &dag,
+        |b, dag| {
+            let sim = Simulation::new(cluster.clone());
+            b.iter(|| black_box(sim.run(black_box(dag)).unwrap().makespan_us))
+        },
+    );
+    group.finish();
+}
+
 fn bench_trace_sampling(c: &mut Criterion) {
     // Long-running activities spanning many one-second buckets.
     let cluster = ClusterSpec::das5(8);
@@ -122,6 +178,7 @@ criterion_group!(
     benches,
     bench_dag_execution,
     bench_contention,
+    bench_all_to_all,
     bench_trace_sampling
 );
 criterion_main!(benches);

@@ -70,18 +70,55 @@ impl Platform {
 
     /// The platform's model extended with checkpoint/recovery operation
     /// types — required when evaluating a run under fault injection, or the
-    /// model-driven event filter drops the recovery events.
-    ///
-    /// # Panics
-    /// For [`Platform::GraphMat`], whose fault behavior is not modeled.
-    pub fn fault_model(self) -> granula_model::PerformanceModel {
+    /// model-driven event filter drops the recovery events. `None` for
+    /// [`Platform::GraphMat`], whose fault behavior is not modeled.
+    pub fn fault_model(self) -> Option<granula_model::PerformanceModel> {
         match self {
-            Platform::Giraph => models::giraph_fault_model(),
-            Platform::PowerGraph => models::powergraph_fault_model(),
-            Platform::GraphMat => panic!("fault injection is not modeled for GraphMat"),
-            Platform::Grape => models::grape_fault_model(),
-            Platform::GraphX => models::graphx_fault_model(),
+            Platform::Giraph => Some(models::giraph_fault_model()),
+            Platform::PowerGraph => Some(models::powergraph_fault_model()),
+            Platform::GraphMat => None,
+            Platform::Grape => Some(models::grape_fault_model()),
+            Platform::GraphX => Some(models::graphx_fault_model()),
         }
+    }
+}
+
+/// Why a fault-injected experiment could not run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ExperimentError {
+    /// The simulator rejected the run or could not finish it.
+    Sim(SimError),
+    /// A non-empty fault plan was given for a platform whose fault behavior
+    /// is not modeled ([`Platform::fault_model`] is `None`).
+    FaultsNotModeled {
+        /// The platform.
+        platform: Platform,
+    },
+}
+
+impl std::fmt::Display for ExperimentError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ExperimentError::Sim(e) => e.fmt(f),
+            ExperimentError::FaultsNotModeled { platform } => {
+                write!(f, "fault injection is not modeled for {}", platform.name())
+            }
+        }
+    }
+}
+
+impl std::error::Error for ExperimentError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ExperimentError::Sim(e) => Some(e),
+            ExperimentError::FaultsNotModeled { .. } => None,
+        }
+    }
+}
+
+impl From<SimError> for ExperimentError {
+    fn from(e: SimError) -> Self {
+        ExperimentError::Sim(e)
     }
 }
 
@@ -166,22 +203,23 @@ pub fn run_experiment_on(
 /// [`Platform::fault_model`] so the recovery operations survive the
 /// model-driven event filter.
 ///
-/// # Panics
-/// For [`Platform::GraphMat`] with a non-empty plan — its fault behavior is
-/// not modeled.
+/// A non-empty plan for [`Platform::GraphMat`], whose fault behavior is not
+/// modeled, is [`ExperimentError::FaultsNotModeled`].
 pub fn run_experiment_with_faults(
     platform: Platform,
     graph: &Graph,
     cfg: &JobConfig,
     plan: &FaultPlan,
     giraph_checkpoint_interval: Option<u32>,
-) -> Result<ExperimentResult, SimError> {
+) -> Result<ExperimentResult, ExperimentError> {
     let process = {
         let _span = granula_trace::span!("modeling", "build_model {}", platform.name());
         let faulted = !plan.crashes.is_empty()
             || (platform == Platform::Giraph && giraph_checkpoint_interval.is_some());
         let model = if faulted {
-            platform.fault_model()
+            platform
+                .fault_model()
+                .ok_or(ExperimentError::FaultsNotModeled { platform })?
         } else {
             platform.model()
         };
@@ -205,13 +243,10 @@ pub fn run_experiment_with_faults(
             Platform::PowerGraph => {
                 PowerGraphPlatform::default().run_with_faults(graph, cfg, plan)?
             }
-            Platform::GraphMat => {
-                assert!(
-                    plan.crashes.is_empty() && plan.slowdowns.is_empty(),
-                    "fault injection is not modeled for GraphMat"
-                );
-                GraphMatPlatform::default().run(graph, cfg)?
+            Platform::GraphMat if !plan.is_empty() => {
+                return Err(ExperimentError::FaultsNotModeled { platform })
             }
+            Platform::GraphMat => GraphMatPlatform::default().run(graph, cfg)?,
             Platform::Grape => GrapePlatform::default().run_with_faults(graph, cfg, plan)?,
             Platform::GraphX => GraphXPlatform::default().run_with_faults(graph, cfg, plan)?,
         }
@@ -472,6 +507,35 @@ mod tests {
             assert_eq!(rec.0, "node302", "{}", platform.name());
             assert!(rec.1 > 0, "{}", platform.name());
         }
+    }
+
+    #[test]
+    fn graphmat_fault_plan_is_a_typed_error() {
+        use gpsim_cluster::{DegradedChannel, NodeId};
+
+        let (graph, scale) = crate::calibration::dg_graph_small(2_000, crate::calibration::DG_SEED);
+        let mut cfg = Platform::GraphMat.dg1000_job();
+        cfg.scale_factor = scale;
+        let crash = FaultPlan::new().crash(NodeId(2), 1e6);
+        let slow = FaultPlan::new().slow(NodeId(1), DegradedChannel::Disk, 0.0, 1e6, 0.5);
+        for plan in [crash, slow] {
+            let err = run_experiment_with_faults(Platform::GraphMat, &graph, &cfg, &plan, None)
+                .map(|_| ())
+                .unwrap_err();
+            assert_eq!(
+                err,
+                ExperimentError::FaultsNotModeled {
+                    platform: Platform::GraphMat
+                }
+            );
+            assert_eq!(
+                err.to_string(),
+                "fault injection is not modeled for GraphMat"
+            );
+        }
+        // Without a plan GraphMat runs as usual.
+        run_experiment_with_faults(Platform::GraphMat, &graph, &cfg, &FaultPlan::new(), None)
+            .unwrap();
     }
 
     #[test]

@@ -41,6 +41,8 @@ pub mod registry;
 
 pub use analysis::{diagnose, find_choke_points, ChokePoint, ChokePointConfig, FailureReport};
 pub use benchmark::{BenchmarkReport, BenchmarkRow, BenchmarkSuite};
-pub use experiment::{run_experiment, run_experiment_on, ExperimentResult, Platform};
+pub use experiment::{
+    run_experiment, run_experiment_on, ExperimentError, ExperimentResult, Platform,
+};
 pub use metrics::{DomainBreakdown, Phase};
 pub use process::{EvaluationProcess, EvaluationReport};
