@@ -613,4 +613,77 @@ mod tests {
             assert!(r.report.assembly_warnings.is_empty());
         }
     }
+
+    /// The hand-written models and the drivers describe one operation
+    /// tree: every op a healthy run emits is a type of
+    /// [`Platform::model`] with the same parent kinds and every type of the
+    /// model is emitted; every op a crash run emits is a type of
+    /// [`Platform::fault_model`] with the same parent kinds (containment
+    /// only: an early crash, say, skips GRAPE's `PEval`).
+    #[test]
+    fn models_agree_with_the_ops_drivers_emit() {
+        use gpsim_cluster::NodeId;
+        use granula_model::{OperationTypeId, PerformanceModel};
+        use granula_monitor::EventPayload;
+        use std::collections::BTreeSet;
+
+        type Edge = (OperationTypeId, Option<OperationTypeId>);
+        let kinds = |a: &granula_model::Actor, m: &granula_model::Mission| {
+            OperationTypeId::new(&a.kind, &m.kind)
+        };
+        let emitted = |run: &PlatformRun| -> BTreeSet<Edge> {
+            run.events
+                .iter()
+                .filter_map(|e| match &e.payload {
+                    EventPayload::OpStart {
+                        actor,
+                        mission,
+                        parent,
+                    } => Some((
+                        kinds(actor, mission),
+                        parent.as_ref().map(|(a, m)| kinds(a, m)),
+                    )),
+                    _ => None,
+                })
+                .collect()
+        };
+        let declared = |model: &PerformanceModel| -> BTreeSet<Edge> {
+            model
+                .types
+                .iter()
+                .map(|t| (t.id.clone(), t.parent.clone()))
+                .collect()
+        };
+        let (graph, scale) = crate::calibration::dg_graph_small(2_000, crate::calibration::DG_SEED);
+        for platform in [
+            Platform::Giraph,
+            Platform::PowerGraph,
+            Platform::GraphMat,
+            Platform::Grape,
+            Platform::GraphX,
+        ] {
+            let mut cfg = platform.dg1000_job();
+            cfg.scale_factor = scale;
+            let healthy = run_experiment(platform, &graph, &cfg).unwrap().run;
+            assert_eq!(
+                emitted(&healthy),
+                declared(&platform.model()),
+                "{}",
+                platform.name()
+            );
+            let Some(fault_model) = platform.fault_model() else {
+                continue;
+            };
+            let plan = FaultPlan::new().crash(NodeId(1), healthy.makespan_us as f64 * 0.4);
+            let interval = (platform == Platform::Giraph).then_some(2);
+            let crashed = run_experiment_with_faults(platform, &graph, &cfg, &plan, interval)
+                .unwrap()
+                .run;
+            let stray: Vec<Edge> = emitted(&crashed)
+                .difference(&declared(&fault_model))
+                .cloned()
+                .collect();
+            assert!(stray.is_empty(), "{}: {stray:?}", platform.name());
+        }
+    }
 }

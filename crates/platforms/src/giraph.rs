@@ -15,19 +15,13 @@
 //! 4. simulates the DAG and emits Granula instrumentation events plus
 //!    environment samples.
 
-use gpsim_cluster::{
-    ActivityGraph, ActivityId, ActivityKind, ClusterSpec, FaultPlan, FileSystem, NodeCrash, NodeId,
-    SimError, Simulation, YarnProvisioner,
-};
+use gpsim_cluster::{ActivityId, ClusterSpec, FaultPlan, FileSystem, SimError, YarnProvisioner};
 use gpsim_graph::{EdgeCutPartition, Graph};
-use granula_model::{Actor, InfoValue, Mission};
+use granula_model::{Actor, InfoValue};
 
-use crate::common::{
-    memory_samples, trace_to_samples, Algorithm, AlgorithmOutput, JobConfig, MemoryPhase,
-    PlatformRun,
-};
-use crate::ops::{emit_events, OpSpec};
-use crate::pregel::{self, SuperstepStats};
+use crate::common::{Algorithm, AlgorithmOutput, JobConfig, PlatformRun};
+use crate::ops::{CrashSite, JobBuilder, Sizes};
+use crate::pregel::{self, SuperstepStats, WorkerSuperstep};
 
 /// Number of read→parse pipeline stages per worker during LoadGraph.
 const LOAD_CHUNKS: u32 = 8;
@@ -170,1012 +164,390 @@ impl GiraphPlatform {
             "cluster too small for {} workers",
             cfg.nodes
         );
-        let k = cfg.nodes;
-        let costs = &cfg.costs;
-        let scale = cfg.scale_factor;
-        let part = EdgeCutPartition::hash(g.num_vertices(), k);
+        let part = EdgeCutPartition::hash(g.num_vertices(), cfg.nodes);
         let (output, supersteps) = {
             let _span = granula_trace::span!("platform", "giraph.vertex_program {}", cfg.job_id);
             run_program(g, &part, cfg.algorithm, self.max_supersteps)
         };
-
-        // Per-worker data sizes (logical counts; scaled at use sites).
-        let mut verts = vec![0u64; k as usize];
-        let mut edges = vec![0u64; k as usize];
-        for v in 0..g.num_vertices() {
-            let w = part.owner_of(v) as usize;
-            verts[w] += 1;
-            edges[w] += g.out_degree(v) as u64;
-        }
-        let input_bytes: Vec<f64> = (0..k as usize)
-            .map(|w| (verts[w] as f64 * 10.0 + edges[w] as f64 * costs.bytes_per_edge_in) * scale)
-            .collect();
-
-        // The earliest crash drives recovery; later crashes are dropped
-        // (single-failure model, see the doc comment).
-        let crash = plan
-            .crashes
+        let sizes = Sizes::new(g, cfg, |v| part.owner_of(v));
+        let layout = Layout {
+            p: self,
+            supersteps: &supersteps,
+            sizes: &sizes,
+        };
+        let units: Vec<String> = supersteps
             .iter()
-            .min_by(|a, b| a.at_us.total_cmp(&b.at_us))
-            .cloned()
-            .filter(|_| !supersteps.is_empty());
-
-        let Some(crash) = crash else {
-            // Healthy (possibly degraded) layout: no recovery structure.
-            let mut b = Build::new(
-                self,
-                cfg,
-                cluster,
-                &supersteps,
-                &verts,
-                &edges,
-                &input_bytes,
-            );
-            {
-                let _span = granula_trace::span!("platform", "giraph.build_dag {}", cfg.job_id);
-                let started = b.startup();
-                let loaded = b.load(started);
-                b.process_graph();
-                let mut prev = loaded;
-                for si in 0..supersteps.len() {
-                    prev = b.superstep(si, prev, "job/proc/", true);
-                    prev = b.maybe_checkpoint(si, prev);
-                }
-                let offloaded = b.offload(prev);
-                b.cleanup(offloaded);
-            }
-            return b.finish(plan, output);
-        };
-
-        // Phase 1: probe run — the same checkpointed job under the plan's
-        // slowdowns only — locates the crash inside the superstep schedule.
-        let probe_span = granula_trace::span!("platform", "giraph.probe {}", cfg.job_id);
-        let slow_plan = FaultPlan {
-            crashes: Vec::new(),
-            slowdowns: plan.slowdowns.clone(),
-        };
-        let mut probe = Build::new(
-            self,
-            cfg,
-            cluster,
-            &supersteps,
-            &verts,
-            &edges,
-            &input_bytes,
-        );
-        let started = probe.startup();
-        let loaded = probe.load(started);
-        probe.process_graph();
-        let mut prev = loaded;
-        for si in 0..supersteps.len() {
-            prev = probe.superstep(si, prev, "job/proc/", true);
-            prev = probe.maybe_checkpoint(si, prev);
-        }
-        let offloaded = probe.offload(prev);
-        probe.cleanup(offloaded);
-        let probe_sim = Simulation::new(cluster.clone()).run_with_faults(&probe.dag, &slow_plan)?;
-
-        // Clamp the crash instant into the processing phase and find the
-        // superstep it interrupts.
-        let (proc_start, proc_end) = probe_sim
-            .span_of_tag(&probe.dag, "job/proc/")
-            .expect("jobs run at least one superstep");
-        let t_clamped = crash.at_us.clamp(proc_start + 1.0, proc_end - 1.0);
-        let mut s_idx = supersteps.len() - 1;
-        for (si, ss) in supersteps.iter().enumerate() {
-            let (_, end) = probe_sim
-                .span_of_tag(&probe.dag, &format!("job/proc/ss{}/", ss.superstep))
-                .expect("superstep was simulated");
-            if t_clamped < end {
-                s_idx = si;
-                break;
-            }
-        }
-        let s_star = supersteps[s_idx].superstep;
-        let (ss_start, ss_end) = probe_sim
-            .span_of_tag(&probe.dag, &format!("job/proc/ss{s_star}/"))
-            .expect("superstep was simulated");
-        let t_eff = t_clamped.clamp(ss_start + 1.0, (ss_end - 1.0).max(ss_start + 1.0));
-
-        // Latest checkpoint before the failed superstep; replay restarts
-        // after it, or from superstep 0 off the original input when the job
-        // never checkpointed.
-        let ckpt_idx: Option<usize> =
-            self.checkpoint_interval
-                .filter(|&kk| kk > 0)
-                .and_then(|kk| {
-                    (0..s_idx)
-                        .rev()
-                        .find(|&si| (supersteps[si].superstep + 1) % kk == 0)
-                });
-        let replay_from = ckpt_idx.map_or(0, |ci| ci + 1);
-        let wasted_since = if replay_from == 0 {
-            proc_start
-        } else {
-            probe_sim
-                .span_of_tag(
-                    &probe.dag,
-                    &format!("job/proc/ss{}/", supersteps[replay_from].superstep),
-                )
-                .expect("superstep was simulated")
-                .0
-        };
-        let wasted_us = t_eff - wasted_since;
-        drop(probe_span);
-
-        // Phase 2: the recovery layout. Prefix (startup, load, supersteps
-        // before s*, their checkpoints) is identical to the probe; the
-        // failed superstep becomes a doomed attempt killed by the injected
-        // crash; detection, container re-provisioning, checkpoint reload
-        // and superstep replay follow under `job/proc/recovery/`.
-        let mut b = Build::new(
-            self,
-            cfg,
-            cluster,
-            &supersteps,
-            &verts,
-            &edges,
-            &input_bytes,
-        );
-        let recovery_span =
-            granula_trace::span!("platform", "giraph.recovery.build {}", cfg.job_id);
-        let started = b.startup();
-        let loaded = b.load(started);
-        b.process_graph();
-        let mut prev = loaded;
-        for si in 0..s_idx {
-            prev = b.superstep(si, prev, "job/proc/", true);
-            prev = b.maybe_checkpoint(si, prev);
-        }
-        b.doomed_attempt(s_idx, prev);
-
-        let master = b.master_node.clone();
-        let recover_actor = Actor::new("Master", "0");
-        let recover_key = (recover_actor.clone(), Mission::new("Recover", "0"));
-        let proc_domain = b.domain("ProcessGraph");
-        b.specs.push(
-            OpSpec::new(
-                recover_actor.clone(),
-                Mission::new("Recover", "0"),
-                Some(proc_domain),
-                "job/proc/recovery/",
-                &master,
-                "master",
-            )
-            .with_info(
-                "FailedNode",
-                InfoValue::Text(cluster.node(crash.node).name.clone()),
-            )
-            .with_info("WastedUs", InfoValue::Int(wasted_us.round() as i64)),
-        );
-        // The crash anchor pins failure detection to the injected instant.
-        let anchor = b.dag.add(
-            ActivityKind::Delay { duration_us: t_eff },
-            &[],
-            "job/meta/t-crash",
-        );
-        let detect = b.dag.add(
-            ActivityKind::Delay {
-                duration_us: self.failure_detect_us,
-            },
-            &[anchor],
-            "job/proc/recovery/detect",
-        );
-        b.specs.push(OpSpec::new(
-            recover_actor.clone(),
-            Mission::new("DetectFailure", "0"),
-            Some(recover_key.clone()),
-            "job/proc/recovery/detect",
-            &master,
-            "master",
-        ));
-        let provisioner = YarnProvisioner {
-            negotiation_us: self.negotiation_us,
-            container_alloc_us: self.container_alloc_us,
-            jvm_startup_us: self.jvm_startup_us,
-            zk_sync_us: self.zk_register_us,
-            ..YarnProvisioner::default()
-        };
-        let provisioned =
-            provisioner.reprovision(&mut b.dag, 1, &[detect], "job/proc/recovery/provision");
-        b.specs.push(OpSpec::new(
-            recover_actor.clone(),
-            Mission::new("Provision", "0"),
-            Some(recover_key.clone()),
-            "job/proc/recovery/provision/",
-            &master,
-            "master",
-        ));
-        // All workers roll back: reload the checkpointed vertex state (or
-        // re-read the input when no checkpoint exists).
-        let mut reloads: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for w in 0..k {
-            let bytes = if ckpt_idx.is_some() {
-                verts[w as usize] as f64 * costs.bytes_per_vertex_out * scale
-            } else {
-                input_bytes[w as usize]
-            };
-            reloads.push(self.fs.read(
-                cluster,
-                &mut b.dag,
-                NodeId(w),
-                bytes,
-                &[provisioned],
-                &format!("job/proc/recovery/reload/w{w}/"),
-            ));
-        }
-        let reloaded = b.dag.barrier(&reloads, "job/proc/recovery/reload/done");
-        b.specs.push(OpSpec::new(
-            recover_actor.clone(),
-            Mission::new("LoadCheckpoint", "0"),
-            Some(recover_key.clone()),
-            "job/proc/recovery/reload/",
-            &master,
-            "master",
-        ));
-        let mut prev = reloaded;
-        #[allow(clippy::needless_range_loop)]
-        for si in replay_from..=s_idx {
-            let s = supersteps[si].superstep;
-            prev = b.superstep(si, prev, "job/proc/recovery/replay/", false);
-            b.specs.push(OpSpec::new(
-                recover_actor.clone(),
-                Mission::new("Replay", s.to_string()),
-                Some(recover_key.clone()),
-                format!("job/proc/recovery/replay/ss{s}/"),
-                &master,
-                "master",
-            ));
-        }
-        // Checkpointing resumes its normal cadence after recovery.
-        prev = b.maybe_checkpoint(s_idx, prev);
-        for si in s_idx + 1..supersteps.len() {
-            prev = b.superstep(si, prev, "job/proc/", true);
-            prev = b.maybe_checkpoint(si, prev);
-        }
-        let offloaded = b.offload(prev);
-        b.cleanup(offloaded);
-        drop(recovery_span);
-
-        let restart_after = crash.restart_after_us.unwrap_or(self.failure_detect_us);
-        let exec_plan = FaultPlan {
-            crashes: vec![NodeCrash {
-                node: crash.node,
-                at_us: t_eff,
-                restart_after_us: Some(restart_after),
-            }],
-            slowdowns: plan.slowdowns.clone(),
-        };
-        b.finish(&exec_plan, output)
+            .map(|ss| format!("job/proc/ss{}/", ss.superstep))
+            .collect();
+        let (b, exec) = JobBuilder::new("giraph", cluster, cfg, ("Worker", "worker"))
+            .single_failure(plan, self.failure_detect_us, &units, |b, crash| {
+                layout.job(b, crash)
+            })?;
+        b.finish(&exec, output, supersteps.len(), |b, sim| {
+            b.resident(sim, "job/", "load/w", &sizes.edges)
+        })
     }
 }
 
-/// Incremental DAG + spec builder shared by the healthy and the
-/// fault-recovery job layouts.
-struct Build<'a> {
+fn master() -> Actor {
+    Actor::new("Master", "0")
+}
+
+fn worker(w: u16) -> Actor {
+    Actor::new("Worker", w.to_string())
+}
+
+/// CPU work of one worker's superstep compute, core-µs.
+fn work(cfg: &JobConfig, stats: &WorkerSuperstep) -> f64 {
+    let costs = &cfg.costs;
+    (stats.edges_scanned as f64 * costs.compute_us_per_edge
+        + stats.active_vertices as f64 * costs.compute_us_per_vertex
+        + stats.messages_sent as f64 * costs.serialize_us_per_message)
+        * cfg.scale_factor
+}
+
+/// The Giraph job layout, healthy or recovering from one crash.
+struct Layout<'a> {
     p: &'a GiraphPlatform,
-    cfg: &'a JobConfig,
-    cluster: &'a ClusterSpec,
     supersteps: &'a [SuperstepStats],
-    verts: &'a [u64],
-    edges: &'a [u64],
-    input_bytes: &'a [f64],
-    dag: ActivityGraph,
-    specs: Vec<OpSpec>,
-    job_actor: Actor,
-    job_key: (Actor, Mission),
-    master_node: String,
+    sizes: &'a Sizes,
 }
 
-impl<'a> Build<'a> {
-    fn new(
-        p: &'a GiraphPlatform,
-        cfg: &'a JobConfig,
-        cluster: &'a ClusterSpec,
-        supersteps: &'a [SuperstepStats],
-        verts: &'a [u64],
-        edges: &'a [u64],
-        input_bytes: &'a [f64],
-    ) -> Self {
-        let job_actor = Actor::new("Job", "0");
-        let job_mission = Mission::new("GiraphJob", "0");
-        let job_key = (job_actor.clone(), job_mission.clone());
-        let master_node = cluster.node(NodeId(0)).name.clone();
-        let specs: Vec<OpSpec> = vec![OpSpec::new(
-            job_actor.clone(),
-            job_mission,
-            None,
-            "job/",
-            &master_node,
-            "client",
-        )
-        .with_info("Platform", InfoValue::Text("Giraph".into()))
-        .with_info("Algorithm", InfoValue::Text(cfg.algorithm.name().into()))
-        .with_info("Dataset", InfoValue::Text(cfg.dataset.clone()))
-        .with_info("Workers", InfoValue::Int(cfg.nodes as i64))];
-        Build {
-            p,
-            cfg,
-            cluster,
-            supersteps,
-            verts,
-            edges,
-            input_bytes,
-            dag: ActivityGraph::new(),
-            specs,
-            job_actor,
-            job_key,
-            master_node,
-        }
+impl Layout<'_> {
+    fn job(&self, b: &mut JobBuilder, crash: Option<&CrashSite>) {
+        let cfg = b.cfg;
+        b.process("client");
+        b.op(Actor::new("Job", "0"), "GiraphJob", 0, "job/", |b| {
+            b.info("Platform", InfoValue::Text("Giraph".into()));
+            b.info("Algorithm", InfoValue::Text(cfg.algorithm.name().into()));
+            b.info("Dataset", InfoValue::Text(cfg.dataset.clone()));
+            b.info("Workers", InfoValue::Int(cfg.nodes as i64));
+            let started = b.child("Startup", 0, "startup/", |b| self.startup(b));
+            let loaded = b.child("LoadGraph", 0, "load/", |b| self.load(b, started));
+            let processed = b.child("ProcessGraph", 0, "proc/", |b| {
+                b.process("master");
+                let mut prev = loaded;
+                for si in 0..self.supersteps.len() {
+                    prev = match crash {
+                        Some(site) if site.unit == si => self.recover(b, site, prev),
+                        _ => self.superstep(b, si, prev),
+                    };
+                    prev = self.maybe_checkpoint(b, si, prev);
+                }
+                prev
+            });
+            let offloaded = b.child("OffloadGraph", 0, "offload/", |b| {
+                self.offload(b, processed)
+            });
+            b.child("Cleanup", 0, "cleanup/", |b| self.cleanup(b, offloaded));
+        });
     }
 
-    fn worker_node(&self, w: u16) -> String {
-        self.cluster.node(NodeId(w)).name.clone()
-    }
-
-    fn domain(&self, mission: &str) -> (Actor, Mission) {
-        (self.job_actor.clone(), Mission::new(mission, "0"))
+    /// Vertex-state bytes of worker `w` (checkpoint and output size).
+    fn state_bytes(&self, cfg: &JobConfig, w: u16) -> f64 {
+        self.sizes.verts[w as usize] as f64 * cfg.costs.bytes_per_vertex_out * cfg.scale_factor
     }
 
     // -------------------------------------------------- Startup (L1)
-    fn startup(&mut self) -> ActivityId {
-        let k = self.cfg.nodes;
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
-            Mission::new("Startup", "0"),
-            Some(self.job_key.clone()),
-            "job/startup/",
-            &self.master_node,
-            "client",
-        ));
-        let negotiate = self.dag.add(
-            ActivityKind::Delay {
-                duration_us: self.p.negotiation_us,
-            },
-            &[],
-            "job/startup/jobstartup/negotiate",
-        );
-        self.specs.push(OpSpec::new(
-            Actor::new("Master", "0"),
-            Mission::new("JobStartup", "0"),
-            Some(self.domain("Startup")),
-            "job/startup/jobstartup/",
-            &self.master_node,
-            "master",
-        ));
-        self.specs.push(OpSpec::new(
-            Actor::new("Master", "0"),
-            Mission::new("LaunchWorkers", "0"),
-            Some(self.domain("Startup")),
-            "job/startup/launch/",
-            &self.master_node,
-            "master",
-        ));
-        let mut worker_ready: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for w in 0..k {
-            let tagp = format!("job/startup/launch/w{w}/");
-            let alloc = self.dag.add(
-                ActivityKind::Delay {
-                    duration_us: self.p.container_alloc_us * (1.0 + 0.12 * w as f64),
-                },
-                &[negotiate],
-                format!("{tagp}alloc"),
-            );
-            let jvm = self.dag.add(
-                ActivityKind::Delay {
-                    duration_us: self.p.jvm_startup_us,
-                },
-                &[alloc],
-                format!("{tagp}jvm"),
-            );
-            let zk = self.dag.add(
-                ActivityKind::Delay {
-                    duration_us: self.p.zk_register_us,
-                },
-                &[jvm],
-                format!("{tagp}zk"),
-            );
-            self.specs.push(OpSpec::new(
-                Actor::new("Worker", w.to_string()),
-                Mission::new("LocalStartup", "0"),
-                Some((
-                    Actor::new("Master", "0"),
-                    Mission::new("LaunchWorkers", "0"),
-                )),
-                tagp,
-                self.worker_node(w),
-                format!("worker-{w}"),
-            ));
-            worker_ready.push(zk);
-        }
-        self.dag.barrier(&worker_ready, "job/startup/all-ready")
+    fn startup(&self, b: &mut JobBuilder) -> ActivityId {
+        let p = self.p;
+        b.process("master");
+        let negotiate = b.op(master(), "JobStartup", 0, "jobstartup/", |b| {
+            b.delay(p.negotiation_us, &[], "negotiate")
+        });
+        let ready: Vec<ActivityId> = b.op(master(), "LaunchWorkers", 0, "launch/", |b| {
+            (0..b.cfg.nodes)
+                .map(|w| {
+                    b.op(worker(w), "LocalStartup", 0, &format!("w{w}/"), |b| {
+                        let alloc_us = p.container_alloc_us * (1.0 + 0.12 * w as f64);
+                        let alloc = b.delay(alloc_us, &[negotiate], "alloc");
+                        let jvm = b.delay(p.jvm_startup_us, &[alloc], "jvm");
+                        b.delay(p.zk_register_us, &[jvm], "zk")
+                    })
+                })
+                .collect()
+        });
+        b.barrier(&ready, "all-ready")
     }
 
     // ------------------------------------------------ LoadGraph (L1)
-    fn load(&mut self, started: ActivityId) -> ActivityId {
-        let k = self.cfg.nodes;
-        let costs = &self.cfg.costs;
-        let scale = self.cfg.scale_factor;
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
-            Mission::new("LoadGraph", "0"),
-            Some(self.job_key.clone()),
-            "job/load/",
-            &self.master_node,
-            "client",
-        ));
-        let mut loaded: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for w in 0..k {
-            let node = NodeId(w);
-            let tagp = format!("job/load/w{w}/");
-            self.specs.push(
-                OpSpec::new(
-                    Actor::new("Worker", w.to_string()),
-                    Mission::new("LocalLoad", "0"),
-                    Some(self.domain("LoadGraph")),
-                    tagp.clone(),
-                    self.worker_node(w),
-                    format!("worker-{w}"),
-                )
-                .with_info(
-                    "InputBytes",
-                    InfoValue::Int(self.input_bytes[w as usize].round() as i64),
-                ),
-            );
-            self.specs.push(OpSpec::new(
-                Actor::new("Worker", w.to_string()),
-                Mission::new("LoadHdfsData", "0"),
-                Some((
-                    Actor::new("Worker", w.to_string()),
-                    Mission::new("LocalLoad", "0"),
-                )),
-                format!("{tagp}hdfs/"),
-                self.worker_node(w),
-                format!("worker-{w}"),
-            ));
-            // Pipelined chunks: read c -> parse c; read c+1 after read c.
-            let chunk_bytes = self.input_bytes[w as usize] / LOAD_CHUNKS as f64;
-            let parse_per_chunk = chunk_bytes * costs.parse_cpu_us_per_byte;
-            let mut prev_read = started;
-            let mut prev_parse: Option<ActivityId> = None;
-            for c in 0..LOAD_CHUNKS {
-                let read = self.p.fs.read(
-                    self.cluster,
-                    &mut self.dag,
-                    node,
-                    chunk_bytes,
-                    &[prev_read],
-                    &format!("{tagp}hdfs/c{c}/"),
-                );
-                // The worker's parser pool handles one chunk at a time at
-                // `worker_threads` parallelism; reads are pipelined ahead.
-                let deps: Vec<ActivityId> = match prev_parse {
-                    Some(p) => vec![read, p],
-                    None => vec![read],
-                };
-                let parse = self.dag.add(
-                    ActivityKind::Compute {
-                        node,
-                        work_core_us: parse_per_chunk,
-                        parallelism: costs.worker_threads,
-                    },
-                    &deps,
-                    format!("{tagp}parse/c{c}"),
-                );
-                prev_read = read;
-                prev_parse = Some(parse);
-            }
-            let parsed = self.dag.barrier(
-                &[prev_parse.expect("LOAD_CHUNKS > 0")],
-                format!("{tagp}parse/done"),
-            );
-            let build = self.dag.add(
-                ActivityKind::Compute {
-                    node,
-                    work_core_us: self.edges[w as usize] as f64
-                        * scale
-                        * costs.build_cpu_us_per_edge,
-                    parallelism: costs.worker_threads,
-                },
-                &[parsed],
-                format!("{tagp}build"),
-            );
-            loaded.push(build);
-        }
-        self.dag.barrier(&loaded, "job/load/all-loaded")
+    fn load(&self, b: &mut JobBuilder, started: ActivityId) -> ActivityId {
+        let cfg = b.cfg;
+        let costs = &cfg.costs;
+        let loaded: Vec<ActivityId> = (0..cfg.nodes)
+            .map(|w| {
+                let bytes = self.sizes.input_bytes[w as usize];
+                b.op(worker(w), "LocalLoad", 0, &format!("w{w}/"), |b| {
+                    b.rounded("InputBytes", bytes);
+                    b.child("LoadHdfsData", 0, "hdfs/", |_| ());
+                    // Pipelined chunks: read c -> parse c; read c+1 after read c.
+                    let chunk = bytes / LOAD_CHUNKS as f64;
+                    let (mut prev_read, mut prev_parse) = (started, None);
+                    for c in 0..LOAD_CHUNKS {
+                        let read =
+                            b.read(&self.p.fs, w, chunk, &[prev_read], &format!("hdfs/c{c}/"));
+                        // The worker's parser pool handles one chunk at a
+                        // time at `worker_threads` parallelism; reads are
+                        // pipelined ahead.
+                        let deps: Vec<ActivityId> = [read].into_iter().chain(prev_parse).collect();
+                        let parse_us = chunk * costs.parse_cpu_us_per_byte;
+                        let leaf = format!("parse/c{c}");
+                        prev_parse =
+                            Some(b.compute(w, parse_us, costs.worker_threads, &deps, &leaf));
+                        prev_read = read;
+                    }
+                    let parsed = b.barrier(&[prev_parse.expect("LOAD_CHUNKS > 0")], "parse/done");
+                    let build_us = self.sizes.edges[w as usize] as f64
+                        * cfg.scale_factor
+                        * costs.build_cpu_us_per_edge;
+                    b.compute(w, build_us, costs.worker_threads, &[parsed], "build")
+                })
+            })
+            .collect();
+        b.barrier(&loaded, "all-loaded")
     }
 
     // ---------------------------------------------- ProcessGraph (L1)
-    fn process_graph(&mut self) {
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
-            Mission::new("ProcessGraph", "0"),
-            Some(self.job_key.clone()),
-            "job/proc/",
-            &self.master_node,
-            "client",
-        ));
+    fn superstep(&self, b: &mut JobBuilder, si: usize, prev: ActivityId) -> ActivityId {
+        let ss = &self.supersteps[si];
+        let seg = format!("ss{}/", ss.superstep);
+        b.op(
+            Actor::new("Job", "0"),
+            "Superstep",
+            ss.superstep,
+            &seg,
+            |b| {
+                b.scaled("ActiveVertices", ss.total_active());
+                b.scaled("MessagesSent", ss.total_messages());
+                self.superstep_body(b, si, prev)
+            },
+        )
     }
 
     /// One BSP superstep: per-worker PreStep/Compute/Message/PostStep and
-    /// the ZooKeeper-coordinated global barrier. `prefix` places the
-    /// activities (`job/proc/` for first attempts, `job/proc/recovery/replay/`
-    /// for replays); `with_specs` controls whether the superstep emits its
-    /// own Granula operations (replays are covered by a single `Replay` op
-    /// pushed by the caller).
-    fn superstep(
-        &mut self,
+    /// the ZooKeeper-coordinated global barrier, under the current scope
+    /// (a `Superstep` op, or a quiet scope under a `Replay` op).
+    fn superstep_body(
+        &self,
+        b: &mut JobBuilder,
         si: usize,
         prev_barrier: ActivityId,
-        prefix: &str,
-        with_specs: bool,
     ) -> ActivityId {
-        let k = self.cfg.nodes;
-        let costs = &self.cfg.costs;
-        let scale = self.cfg.scale_factor;
+        let cfg = b.cfg;
+        let costs = &cfg.costs;
         let ss = &self.supersteps[si];
         let s = ss.superstep;
-        let ss_tag = format!("{prefix}ss{s}/");
-        let _span = granula_trace::span!("platform", "giraph.superstep.build {ss_tag}");
-        if with_specs {
-            self.specs.push(
-                OpSpec::new(
-                    self.job_actor.clone(),
-                    Mission::new("Superstep", s.to_string()),
-                    Some(self.domain("ProcessGraph")),
-                    ss_tag.clone(),
-                    &self.master_node,
-                    "master",
-                )
-                .with_info(
-                    "ActiveVertices",
-                    InfoValue::Int((ss.total_active() as f64 * scale).round() as i64),
-                )
-                .with_info(
-                    "MessagesSent",
-                    InfoValue::Int((ss.total_messages() as f64 * scale).round() as i64),
-                ),
-            );
-        }
-        let mut worker_posts: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        let mut computes: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for w in 0..k {
-            let node = NodeId(w);
-            let stats = &ss.per_worker[w as usize];
-            let w_tag = format!("{ss_tag}w{w}/");
-            let local_parent = (
-                Actor::new("Worker", w.to_string()),
-                Mission::new("LocalSuperstep", s.to_string()),
-            );
-            if with_specs {
-                self.specs.push(OpSpec::new(
-                    Actor::new("Worker", w.to_string()),
-                    Mission::new("LocalSuperstep", s.to_string()),
-                    Some((
-                        self.job_actor.clone(),
-                        Mission::new("Superstep", s.to_string()),
-                    )),
-                    w_tag.clone(),
-                    self.worker_node(w),
-                    format!("worker-{w}"),
-                ));
-            }
-            let pre = self.dag.add(
-                ActivityKind::Delay {
-                    duration_us: costs.barrier_us * 0.4,
-                },
-                &[prev_barrier],
-                format!("{w_tag}pre"),
-            );
-            if with_specs {
-                self.specs.push(OpSpec::new(
-                    Actor::new("Worker", w.to_string()),
-                    Mission::new("PreStep", s.to_string()),
-                    Some(local_parent.clone()),
-                    format!("{w_tag}pre"),
-                    self.worker_node(w),
-                    format!("worker-{w}"),
-                ));
-            }
-            let work = (stats.edges_scanned as f64 * costs.compute_us_per_edge
-                + stats.active_vertices as f64 * costs.compute_us_per_vertex
-                + stats.messages_sent as f64 * costs.serialize_us_per_message)
-                * scale;
-            let compute = self.dag.add(
-                ActivityKind::Compute {
-                    node,
-                    // Idle workers still tick over the barrier machinery.
-                    work_core_us: work.max(1_000.0),
-                    parallelism: costs.worker_threads,
-                },
-                &[pre],
-                format!("{w_tag}compute"),
-            );
-            if with_specs {
-                self.specs.push(
-                    OpSpec::new(
-                        Actor::new("Worker", w.to_string()),
-                        Mission::new("Compute", s.to_string()),
-                        Some(local_parent),
-                        format!("{w_tag}compute"),
-                        self.worker_node(w),
-                        format!("worker-{w}"),
-                    )
-                    .with_info(
-                        "EdgesScanned",
-                        InfoValue::Int((stats.edges_scanned as f64 * scale).round() as i64),
-                    )
-                    .with_info(
-                        "ActiveVertices",
-                        InfoValue::Int((stats.active_vertices as f64 * scale).round() as i64),
-                    ),
-                );
-            }
-            computes.push(compute);
-        }
-        for w in 0..k {
-            let stats = &ss.per_worker[w as usize];
-            let w_tag = format!("{ss_tag}w{w}/");
-            let local_parent = (
-                Actor::new("Worker", w.to_string()),
-                Mission::new("LocalSuperstep", s.to_string()),
-            );
-            // Message flushing: transfers to workers receiving remote
-            // messages from this worker.
-            let mut flushes: Vec<ActivityId> = Vec::new();
-            let mut remote_msgs = 0u64;
-            for dst in 0..k {
-                let count = ss.remote_messages[w as usize][dst as usize];
-                if dst == w || count == 0 {
-                    continue;
-                }
-                remote_msgs += count;
-                flushes.push(self.dag.add(
-                    ActivityKind::Transfer {
-                        src: NodeId(w),
-                        dst: NodeId(dst),
-                        bytes: count as f64 * costs.bytes_per_message * scale,
+        let _span = granula_trace::span!("platform", "giraph.superstep.build {}", b.tag(""));
+        let computes: Vec<ActivityId> = (0..cfg.nodes)
+            .map(|w| {
+                let stats = &ss.per_worker[w as usize];
+                b.op(worker(w), "LocalSuperstep", s, &format!("w{w}/"), |b| {
+                    let pre = b.child("PreStep", s, "pre", |b| {
+                        b.delay(costs.barrier_us * 0.4, &[prev_barrier], "")
+                    });
+                    b.child("Compute", s, "compute", |b| {
+                        b.scaled("EdgesScanned", stats.edges_scanned);
+                        b.scaled("ActiveVertices", stats.active_vertices);
+                        // Idle workers still tick over the barrier machinery.
+                        let work_us = work(cfg, stats).max(1_000.0);
+                        b.compute(w, work_us, costs.worker_threads, &[pre], "")
+                    })
+                })
+            })
+            .collect();
+        let posts: Vec<ActivityId> = (0..cfg.nodes)
+            .map(|w| {
+                let stats = &ss.per_worker[w as usize];
+                let row = &ss.remote_messages[w as usize];
+                let remote: u64 = (0..cfg.nodes)
+                    .filter(|&d| d != w)
+                    .map(|d| row[d as usize])
+                    .sum();
+                b.op_if(
+                    false,
+                    worker(w),
+                    "LocalSuperstep",
+                    s,
+                    &format!("w{w}/"),
+                    |b| {
+                        // Message flushing: transfers to workers receiving
+                        // remote messages from this worker.
+                        let mut deps: Vec<ActivityId> =
+                            b.op_if(remote > 0, worker(w), "Message", s, "msg/", |b| {
+                                b.scaled("RemoteMessages", remote);
+                                b.scaled("MessagesSent", stats.messages_sent);
+                                (0..cfg.nodes)
+                                    .filter(|&d| d != w && row[d as usize] > 0)
+                                    .map(|d| {
+                                        let bytes = row[d as usize] as f64
+                                            * costs.bytes_per_message
+                                            * cfg.scale_factor;
+                                        b.transfer(
+                                            w,
+                                            d,
+                                            bytes,
+                                            &[computes[w as usize]],
+                                            &format!("to{d}"),
+                                        )
+                                    })
+                                    .collect()
+                            });
+                        deps.push(computes[w as usize]);
+                        b.child("PostStep", s, "post", |b| {
+                            b.delay(costs.barrier_us * 0.6, &deps, "")
+                        })
                     },
-                    &[computes[w as usize]],
-                    format!("{w_tag}msg/to{dst}"),
-                ));
-            }
-            if with_specs && !flushes.is_empty() {
-                self.specs.push(
-                    OpSpec::new(
-                        Actor::new("Worker", w.to_string()),
-                        Mission::new("Message", s.to_string()),
-                        Some(local_parent.clone()),
-                        format!("{w_tag}msg/"),
-                        self.worker_node(w),
-                        format!("worker-{w}"),
-                    )
-                    .with_info(
-                        "RemoteMessages",
-                        InfoValue::Int((remote_msgs as f64 * scale).round() as i64),
-                    )
-                    .with_info(
-                        "MessagesSent",
-                        InfoValue::Int((stats.messages_sent as f64 * scale).round() as i64),
-                    ),
-                );
-            }
-            let mut post_deps = flushes;
-            post_deps.push(computes[w as usize]);
-            let post = self.dag.add(
-                ActivityKind::Delay {
-                    duration_us: costs.barrier_us * 0.6,
-                },
-                &post_deps,
-                format!("{w_tag}post"),
-            );
-            if with_specs {
-                self.specs.push(OpSpec::new(
-                    Actor::new("Worker", w.to_string()),
-                    Mission::new("PostStep", s.to_string()),
-                    Some(local_parent),
-                    format!("{w_tag}post"),
-                    self.worker_node(w),
-                    format!("worker-{w}"),
-                ));
-            }
-            worker_posts.push(post);
-        }
+                )
+            })
+            .collect();
         // ZooKeeper-coordinated global barrier.
-        let zk_join = self.dag.barrier(&worker_posts, format!("{ss_tag}zk/join"));
-        let zk = self.dag.add(
-            ActivityKind::Delay {
-                duration_us: costs.barrier_us * 0.3,
-            },
-            &[zk_join],
-            format!("{ss_tag}zk/sync"),
-        );
-        if with_specs {
-            self.specs.push(OpSpec::new(
-                Actor::new("Master", "0"),
-                Mission::new("SyncZookeeper", s.to_string()),
-                Some((
-                    self.job_actor.clone(),
-                    Mission::new("Superstep", s.to_string()),
-                )),
-                format!("{ss_tag}zk/"),
-                &self.master_node,
-                "master",
-            ));
-        }
-        zk
+        b.op(master(), "SyncZookeeper", s, "zk/", |b| {
+            let join = b.barrier(&posts, "join");
+            b.delay(costs.barrier_us * 0.3, &[join], "sync")
+        })
     }
 
-    /// Synchronous checkpoint after superstep `s`: every worker writes its
-    /// vertex state to the DFS before the next superstep may start.
-    fn checkpoint(&mut self, s: u32, prev: ActivityId) -> ActivityId {
-        let k = self.cfg.nodes;
-        let costs = &self.cfg.costs;
-        let scale = self.cfg.scale_factor;
-        let tag = format!("job/proc/ckpt{s}/");
-        self.specs.push(
-            OpSpec::new(
-                Actor::new("Master", "0"),
-                Mission::new("Checkpoint", s.to_string()),
-                Some(self.domain("ProcessGraph")),
-                tag.clone(),
-                &self.master_node,
-                "master",
-            )
-            .with_info(
-                "IntervalSupersteps",
-                InfoValue::Int(self.p.checkpoint_interval.unwrap_or(0) as i64),
-            ),
-        );
-        let mut writes: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for w in 0..k {
-            let bytes = self.verts[w as usize] as f64 * costs.bytes_per_vertex_out * scale;
-            writes.push(self.p.fs.write(
-                self.cluster,
-                &mut self.dag,
-                NodeId(w),
-                bytes,
-                &[prev],
-                &format!("{tag}w{w}/"),
-            ));
+    /// Synchronous checkpoint after superstep index `si` when the cadence
+    /// says so (never after the final superstep — nothing is left to
+    /// protect): every worker writes its vertex state to the DFS before the
+    /// next superstep may start.
+    fn maybe_checkpoint(&self, b: &mut JobBuilder, si: usize, prev: ActivityId) -> ActivityId {
+        let s = self.supersteps[si].superstep;
+        let interval = self.p.checkpoint_interval.unwrap_or(0);
+        if interval == 0 || !(s + 1).is_multiple_of(interval) || si + 1 == self.supersteps.len() {
+            return prev;
         }
-        self.dag.barrier(&writes, format!("{tag}done"))
+        let _span = granula_trace::span!("platform", "giraph.checkpoint.build ss{s}");
+        b.op(master(), "Checkpoint", s, &format!("ckpt{s}/"), |b| {
+            b.info("IntervalSupersteps", InfoValue::Int(interval as i64));
+            let writes: Vec<ActivityId> = (0..b.cfg.nodes)
+                .map(|w| {
+                    let bytes = self.state_bytes(b.cfg, w);
+                    b.write(&self.p.fs, w, bytes, &[prev], &format!("w{w}/"))
+                })
+                .collect();
+            b.barrier(&writes, "done")
+        })
     }
 
-    /// Checkpoint after superstep index `si` when the cadence says so
-    /// (never after the final superstep — nothing is left to protect).
-    fn maybe_checkpoint(&mut self, si: usize, prev: ActivityId) -> ActivityId {
-        match self.p.checkpoint_interval {
-            Some(kk)
-                if kk > 0
-                    && (self.supersteps[si].superstep + 1).is_multiple_of(kk)
-                    && si + 1 < self.supersteps.len() =>
-            {
-                let _span = granula_trace::span!(
-                    "platform",
-                    "giraph.checkpoint.build ss{}",
-                    self.supersteps[si].superstep
-                );
-                self.checkpoint(self.supersteps[si].superstep, prev)
-            }
-            _ => prev,
-        }
-    }
-
-    /// The attempt at superstep `si` that the crash interrupts: per-worker
-    /// pre-step and compute, no barrier — the failure means the superstep
-    /// never commits, and recovery (not this attempt) gates further work.
-    fn doomed_attempt(&mut self, si: usize, prev_barrier: ActivityId) {
-        let k = self.cfg.nodes;
-        let costs = &self.cfg.costs;
-        let scale = self.cfg.scale_factor;
+    /// Recovery from the crash in superstep `site.unit`. The attempt the
+    /// crash interrupts gets pre-step and compute but no barrier — it never
+    /// commits; then the master detects the lost worker through missed
+    /// ZooKeeper heartbeats, re-provisions a YARN container, every worker
+    /// rolls back to the latest checkpoint (or the input) and the lost
+    /// supersteps are replayed, each covered by one `Replay` op.
+    fn recover(&self, b: &mut JobBuilder, site: &CrashSite, prev: ActivityId) -> ActivityId {
+        let (p, cfg, si) = (self.p, b.cfg, site.unit);
         let ss = &self.supersteps[si];
-        let s = ss.superstep;
-        let tag = format!("job/proc/ss{s}/");
-        self.specs.push(OpSpec::new(
-            Actor::new("Master", "0"),
-            Mission::new("FailedSuperstep", s.to_string()),
-            Some(self.domain("ProcessGraph")),
-            tag.clone(),
-            &self.master_node,
-            "master",
-        ));
-        for w in 0..k {
-            let node = NodeId(w);
-            let stats = &ss.per_worker[w as usize];
-            let pre = self.dag.add(
-                ActivityKind::Delay {
-                    duration_us: costs.barrier_us * 0.4,
-                },
-                &[prev_barrier],
-                format!("{tag}try/w{w}/pre"),
-            );
-            let work = (stats.edges_scanned as f64 * costs.compute_us_per_edge
-                + stats.active_vertices as f64 * costs.compute_us_per_vertex
-                + stats.messages_sent as f64 * costs.serialize_us_per_message)
-                * scale;
-            self.dag.add(
-                ActivityKind::Compute {
-                    node,
-                    work_core_us: work.max(1_000.0),
-                    parallelism: costs.worker_threads,
-                },
-                &[pre],
-                format!("{tag}try/w{w}/compute"),
-            );
-        }
+        b.op(
+            master(),
+            "FailedSuperstep",
+            ss.superstep,
+            &format!("ss{}/", ss.superstep),
+            |b| {
+                for w in 0..cfg.nodes {
+                    let pre = b.delay(
+                        cfg.costs.barrier_us * 0.4,
+                        &[prev],
+                        &format!("try/w{w}/pre"),
+                    );
+                    let work_us = work(cfg, &ss.per_worker[w as usize]).max(1_000.0);
+                    let leaf = format!("try/w{w}/compute");
+                    b.compute(w, work_us, cfg.costs.worker_threads, &[pre], &leaf);
+                }
+            },
+        );
+        // Latest checkpoint before the failed superstep; replay restarts
+        // after it, or from superstep 0 off the original input when the job
+        // never checkpointed.
+        let ckpt = p.checkpoint_interval.filter(|&kk| kk > 0).and_then(|kk| {
+            (0..si)
+                .rev()
+                .find(|&i| (self.supersteps[i].superstep + 1).is_multiple_of(kk))
+        });
+        let from = ckpt.map_or(0, |c| c + 1);
+        let since = if from == 0 {
+            site.proc_start_us
+        } else {
+            site.unit_starts[from]
+        };
+        let wasted_us = site.failure.at_us - since;
+        b.recover(
+            master(),
+            "recovery/",
+            &site.failure,
+            wasted_us,
+            |b, detect| {
+                let provisioner = YarnProvisioner {
+                    negotiation_us: p.negotiation_us,
+                    container_alloc_us: p.container_alloc_us,
+                    jvm_startup_us: p.jvm_startup_us,
+                    zk_sync_us: p.zk_register_us,
+                    ..YarnProvisioner::default()
+                };
+                let tag = b.tag("provision");
+                let provisioned = provisioner.reprovision(&mut b.dag, 1, &[detect], &tag);
+                b.child("Provision", 0, "provision/", |_| ());
+                // All workers roll back: reload the checkpointed vertex state
+                // (or re-read the input when no checkpoint exists).
+                let reloaded = b.child("LoadCheckpoint", 0, "reload/", |b| {
+                    let reads: Vec<ActivityId> = (0..cfg.nodes)
+                        .map(|w| {
+                            let bytes = match ckpt {
+                                Some(_) => self.state_bytes(cfg, w),
+                                None => self.sizes.input_bytes[w as usize],
+                            };
+                            b.read(&p.fs, w, bytes, &[provisioned], &format!("w{w}/"))
+                        })
+                        .collect();
+                    b.barrier(&reads, "done")
+                });
+                (from..=si).fold(reloaded, |prev, i| {
+                    let s = self.supersteps[i].superstep;
+                    b.child("Replay", s, &format!("replay/ss{s}/"), |b| {
+                        b.quiet(|b| self.superstep_body(b, i, prev))
+                    })
+                })
+            },
+        )
     }
 
     // --------------------------------------------- OffloadGraph (L1)
-    fn offload(&mut self, prev_barrier: ActivityId) -> ActivityId {
-        let k = self.cfg.nodes;
-        let costs = &self.cfg.costs;
-        let scale = self.cfg.scale_factor;
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
-            Mission::new("OffloadGraph", "0"),
-            Some(self.job_key.clone()),
-            "job/offload/",
-            &self.master_node,
-            "client",
-        ));
-        let mut offloads: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for w in 0..k {
-            let tagp = format!("job/offload/w{w}/");
-            let bytes = self.verts[w as usize] as f64 * costs.bytes_per_vertex_out * scale;
-            let write = self.p.fs.write(
-                self.cluster,
-                &mut self.dag,
-                NodeId(w),
-                bytes,
-                &[prev_barrier],
-                &format!("{tagp}hdfs/"),
-            );
-            self.specs.push(
-                OpSpec::new(
-                    Actor::new("Worker", w.to_string()),
-                    Mission::new("LocalOffload", "0"),
-                    Some(self.domain("OffloadGraph")),
-                    tagp.clone(),
-                    self.worker_node(w),
-                    format!("worker-{w}"),
-                )
-                .with_info("OutputBytes", InfoValue::Int(bytes.round() as i64)),
-            );
-            self.specs.push(OpSpec::new(
-                Actor::new("Worker", w.to_string()),
-                Mission::new("OffloadHdfsData", "0"),
-                Some((
-                    Actor::new("Worker", w.to_string()),
-                    Mission::new("LocalOffload", "0"),
-                )),
-                format!("{tagp}hdfs/"),
-                self.worker_node(w),
-                format!("worker-{w}"),
-            ));
-            offloads.push(write);
-        }
-        self.dag.barrier(&offloads, "job/offload/all-done")
+    fn offload(&self, b: &mut JobBuilder, prev: ActivityId) -> ActivityId {
+        let cfg = b.cfg;
+        let writes: Vec<ActivityId> = (0..cfg.nodes)
+            .map(|w| {
+                let bytes = self.state_bytes(cfg, w);
+                b.op(worker(w), "LocalOffload", 0, &format!("w{w}/"), |b| {
+                    b.rounded("OutputBytes", bytes);
+                    b.child("OffloadHdfsData", 0, "hdfs/", |b| {
+                        b.write(&self.p.fs, w, bytes, &[prev], "")
+                    })
+                })
+            })
+            .collect();
+        b.barrier(&writes, "all-done")
     }
 
     // -------------------------------------------------- Cleanup (L1)
-    fn cleanup(&mut self, all_offloaded: ActivityId) {
-        let k = self.cfg.nodes;
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
-            Mission::new("Cleanup", "0"),
-            Some(self.job_key.clone()),
-            "job/cleanup/",
-            &self.master_node,
-            "client",
-        ));
-        let cleanup_parent = self.domain("Cleanup");
-        let mut aborts: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for w in 0..k {
-            aborts.push(self.dag.add(
-                ActivityKind::Delay {
-                    duration_us: self.p.cleanup_us[0],
-                },
-                &[all_offloaded],
-                format!("job/cleanup/abort/w{w}"),
-            ));
-        }
-        let aborted = self.dag.barrier(&aborts, "job/cleanup/abort/join");
-        self.specs.push(OpSpec::new(
-            Actor::new("Master", "0"),
-            Mission::new("AbortWorkers", "0"),
-            Some(cleanup_parent.clone()),
-            "job/cleanup/abort/",
-            &self.master_node,
-            "master",
-        ));
-        let client = self.dag.add(
-            ActivityKind::Delay {
-                duration_us: self.p.cleanup_us[1],
-            },
-            &[aborted],
-            "job/cleanup/client",
-        );
-        self.specs.push(OpSpec::new(
-            Actor::new("Master", "0"),
-            Mission::new("ClientCleanup", "0"),
-            Some(cleanup_parent.clone()),
-            "job/cleanup/client",
-            &self.master_node,
-            "master",
-        ));
-        let server = self.dag.add(
-            ActivityKind::Delay {
-                duration_us: self.p.cleanup_us[2],
-            },
-            &[client],
-            "job/cleanup/server",
-        );
-        self.specs.push(OpSpec::new(
-            Actor::new("Master", "0"),
-            Mission::new("ServerCleanup", "0"),
-            Some(cleanup_parent.clone()),
-            "job/cleanup/server",
-            &self.master_node,
-            "master",
-        ));
-        self.dag.add(
-            ActivityKind::Delay {
-                duration_us: self.p.cleanup_us[3],
-            },
-            &[server],
-            "job/cleanup/zk",
-        );
-        self.specs.push(OpSpec::new(
-            Actor::new("Master", "0"),
-            Mission::new("ZkCleanup", "0"),
-            Some(cleanup_parent),
-            "job/cleanup/zk",
-            &self.master_node,
-            "master",
-        ));
-    }
-
-    // ------------------------------------------------------- Simulate
-    fn finish(self, plan: &FaultPlan, output: AlgorithmOutput) -> Result<PlatformRun, SimError> {
-        let k = self.cfg.nodes;
-        let costs = &self.cfg.costs;
-        let scale = self.cfg.scale_factor;
-        let sim = {
-            let _span = granula_trace::span!("platform", "giraph.simulate {}", self.cfg.job_id);
-            Simulation::new(self.cluster.clone()).run_with_faults(&self.dag, plan)?
-        };
-        let events = {
-            let _span = granula_trace::span!("platform", "giraph.emit_events {}", self.cfg.job_id);
-            emit_events(&self.specs, &self.dag, &sim)
-        };
-        let mut env_samples = trace_to_samples(&sim.trace);
-        // Memory view: each worker's partition becomes resident over its
-        // load interval and is released when its JVM exits at cleanup.
-        let release = sim
-            .span_of_tag(&self.dag, "job/cleanup/")
-            .map(|(s, _)| s.round() as u64)
-            .unwrap_or(sim.makespan_us.round() as u64);
-        let mut phases = Vec::with_capacity(k as usize);
-        for w in 0..k {
-            if let Some((ls, le)) = sim.span_of_tag(&self.dag, &format!("job/load/w{w}/")) {
-                phases.push(MemoryPhase {
-                    node: self.worker_node(w),
-                    ramp_start_us: ls.round() as u64,
-                    ramp_end_us: le.round() as u64,
-                    hold_until_us: release,
-                    bytes: self.edges[w as usize] as f64 * scale * costs.bytes_per_edge_mem,
-                });
-            }
-        }
-        env_samples.extend(memory_samples(&phases, sim.makespan_us.round() as u64));
-        Ok(PlatformRun {
-            events,
-            env_samples,
-            output,
-            makespan_us: sim.makespan_us.round() as u64,
-            iterations: self.supersteps.len() as u32,
-        })
+    fn cleanup(&self, b: &mut JobBuilder, offloaded: ActivityId) {
+        let us = self.p.cleanup_us;
+        b.process("master");
+        let aborted = b.op(master(), "AbortWorkers", 0, "abort/", |b| {
+            let aborts: Vec<ActivityId> = (0..b.cfg.nodes)
+                .map(|w| b.delay(us[0], &[offloaded], &format!("w{w}")))
+                .collect();
+            b.barrier(&aborts, "join")
+        });
+        let client = b.op(master(), "ClientCleanup", 0, "client", |b| {
+            b.delay(us[1], &[aborted], "")
+        });
+        let server = b.op(master(), "ServerCleanup", 0, "server", |b| {
+            b.delay(us[2], &[client], "")
+        });
+        b.op(master(), "ZkCleanup", 0, "zk", |b| {
+            b.delay(us[3], &[server], "")
+        });
     }
 }
 
@@ -1183,6 +555,7 @@ impl<'a> Build<'a> {
 mod tests {
     use super::*;
     use crate::common::{reference_output, CostModel};
+    use gpsim_cluster::NodeId;
     use gpsim_graph::gen::{datagen_like, GenConfig};
     use granula_monitor::Assembler;
 

@@ -29,18 +29,12 @@
 
 use std::collections::VecDeque;
 
-use gpsim_cluster::{
-    ActivityGraph, ActivityId, ActivityKind, ClusterSpec, FaultPlan, NodeCrash, NodeId, SimError,
-    Simulation,
-};
+use gpsim_cluster::{ActivityId, ClusterSpec, FaultPlan, SimError};
 use gpsim_graph::{BlockPartition, EdgeCutPartition, Graph, VertexId};
-use granula_model::{Actor, InfoValue, Mission};
+use granula_model::{Actor, InfoValue};
 
-use crate::common::{
-    memory_samples, reference_output, trace_to_samples, Algorithm, AlgorithmOutput, JobConfig,
-    MemoryPhase, PlatformRun,
-};
-use crate::ops::{emit_events, OpSpec};
+use crate::common::{reference_output, Algorithm, AlgorithmOutput, JobConfig, PlatformRun};
+use crate::ops::{CrashSite, JobBuilder, Sizes};
 
 /// How vertices are assigned to edge-cut fragments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -407,740 +401,264 @@ impl GrapePlatform {
             "cluster too small for {} workers",
             cfg.nodes
         );
-        let k = cfg.nodes;
-        let costs = &cfg.costs;
-        let scale = cfg.scale_factor;
-        let owner = self.partitioner.owners(g, k);
+        let owner = self.partitioner.owners(g, cfg.nodes);
         let (output, rounds) = {
             let _span = granula_trace::span!("platform", "grape.eval {}", cfg.job_id);
-            run_program(g, &owner, k, cfg.algorithm, self.max_rounds)
+            run_program(g, &owner, cfg.nodes, cfg.algorithm, self.max_rounds)
         };
-
-        // Per-fragment data sizes (logical counts; scaled at use sites).
-        let mut verts = vec![0u64; k as usize];
-        let mut edges = vec![0u64; k as usize];
-        for v in 0..g.num_vertices() {
-            let w = owner[v as usize] as usize;
-            verts[w] += 1;
-            edges[w] += g.out_degree(v) as u64;
-        }
-        let input_bytes: Vec<f64> = (0..k as usize)
-            .map(|w| (verts[w] as f64 * 10.0 + edges[w] as f64 * costs.bytes_per_edge_in) * scale)
-            .collect();
-
-        let crash = plan
-            .crashes
+        let sizes = Sizes::new(g, cfg, |v| owner[v as usize]);
+        let layout = Layout {
+            p: self,
+            rounds: &rounds,
+            sizes: &sizes,
+        };
+        let units: Vec<String> = rounds
             .iter()
-            .min_by(|a, b| a.at_us.total_cmp(&b.at_us))
-            .cloned()
-            .filter(|_| !rounds.is_empty());
-
-        let Some(crash) = crash else {
-            // Healthy (possibly degraded) layout: no recovery structure.
-            let mut b = Build::new(self, cfg, cluster, &rounds, &verts, &edges, &input_bytes);
-            {
-                let _span = granula_trace::span!("platform", "grape.build_dag {}", cfg.job_id);
-                let started = b.startup();
-                let mut prev = b.load(started);
-                b.process_graph();
-                for ri in 0..rounds.len() {
-                    prev = b.round(ri, prev, "job/proc/", true);
-                }
-                let offloaded = b.offload(prev);
-                b.cleanup(offloaded);
-            }
-            return b.finish(plan, output);
-        };
-
-        // Phase 1: probe run — the same job under the plan's slowdowns only
-        // — locates the crash inside the round schedule.
-        let probe_span = granula_trace::span!("platform", "grape.probe {}", cfg.job_id);
-        let slow_plan = FaultPlan {
-            crashes: Vec::new(),
-            slowdowns: plan.slowdowns.clone(),
-        };
-        let mut probe = Build::new(self, cfg, cluster, &rounds, &verts, &edges, &input_bytes);
-        let started = probe.startup();
-        let mut prev = probe.load(started);
-        probe.process_graph();
-        for ri in 0..rounds.len() {
-            prev = probe.round(ri, prev, "job/proc/", true);
-        }
-        let offloaded = probe.offload(prev);
-        probe.cleanup(offloaded);
-        let probe_sim = Simulation::new(cluster.clone()).run_with_faults(&probe.dag, &slow_plan)?;
-
-        let (proc_start, proc_end) = probe_sim
-            .span_of_tag(&probe.dag, "job/proc/")
-            .expect("jobs run at least one round");
-        let t_clamped = crash.at_us.clamp(proc_start + 1.0, proc_end - 1.0);
-        let mut r_idx = rounds.len() - 1;
-        for (ri, rs) in rounds.iter().enumerate() {
-            let (_, end) = probe_sim
-                .span_of_tag(&probe.dag, &format!("job/proc/r{}/", rs.round))
-                .expect("round was simulated");
-            if t_clamped < end {
-                r_idx = ri;
-                break;
-            }
-        }
-        let r_star = rounds[r_idx].round;
-        let (r_start, r_end) = probe_sim
-            .span_of_tag(&probe.dag, &format!("job/proc/r{r_star}/"))
-            .expect("round was simulated");
-        let t_eff = t_clamped.clamp(r_start + 1.0, (r_end - 1.0).max(r_start + 1.0));
-        // Only the interrupted round's partial work is wasted: committed
-        // rounds survive on the healthy fragments and the lost one is
-        // reconstructed by fragment-local replay, not re-executed globally.
-        let wasted_us = t_eff - r_start;
-        drop(probe_span);
-
-        // Phase 2: the recovery layout. Prefix (startup, load, rounds
-        // before r*) is identical to the probe; the interrupted round
-        // becomes a doomed attempt killed by the injected crash; detection,
-        // fragment reload and fragment-local replay follow under
-        // `job/proc/recovery/`.
-        let mut b = Build::new(self, cfg, cluster, &rounds, &verts, &edges, &input_bytes);
-        let recovery_span = granula_trace::span!("platform", "grape.recovery.build {}", cfg.job_id);
-        let started = b.startup();
-        let mut prev = b.load(started);
-        b.process_graph();
-        for ri in 0..r_idx {
-            prev = b.round(ri, prev, "job/proc/", true);
-        }
-        b.doomed_attempt(r_idx, prev);
-
-        let coord = b.coord_node.clone();
-        let lost = crash.node;
-        let recover_actor = Actor::new("Coordinator", "0");
-        let recover_key = (recover_actor.clone(), Mission::new("Recover", "0"));
-        let proc_domain = b.domain("ProcessGraph");
-        b.specs.push(
-            OpSpec::new(
-                recover_actor.clone(),
-                Mission::new("Recover", "0"),
-                Some(proc_domain),
-                "job/proc/recovery/",
-                &coord,
-                "coordinator",
-            )
-            .with_info(
-                "FailedNode",
-                InfoValue::Text(cluster.node(lost).name.clone()),
-            )
-            .with_info("WastedUs", InfoValue::Int(wasted_us.round() as i64)),
-        );
-        // The crash anchor pins failure detection to the injected instant.
-        let anchor = b.dag.add(
-            ActivityKind::Delay { duration_us: t_eff },
-            &[],
-            "job/meta/t-crash",
-        );
-        let detect = b.dag.add(
-            ActivityKind::Delay {
-                duration_us: self.failure_detect_us,
-            },
-            &[anchor],
-            "job/proc/recovery/detect",
-        );
-        b.specs.push(OpSpec::new(
-            recover_actor.clone(),
-            Mission::new("DetectFailure", "0"),
-            Some(recover_key.clone()),
-            "job/proc/recovery/detect",
-            &coord,
-            "coordinator",
-        ));
-        // The replacement worker re-reads only the lost fragment and
-        // rebuilds its local index.
-        let lw = lost.0 as usize;
-        let reread = b.dag.add(
-            ActivityKind::SharedRead {
-                node: lost,
-                bytes: input_bytes[lw],
-            },
-            &[detect],
-            "job/proc/recovery/reload/read",
-        );
-        let rebuilt = b.dag.add(
-            ActivityKind::Compute {
-                node: lost,
-                work_core_us: edges[lw] as f64 * scale * costs.build_cpu_us_per_edge,
-                parallelism: costs.worker_threads,
-            },
-            &[reread],
-            "job/proc/recovery/reload/build",
-        );
-        b.specs.push(
-            OpSpec::new(
-                recover_actor.clone(),
-                Mission::new("ReloadFragment", "0"),
-                Some(recover_key.clone()),
-                "job/proc/recovery/reload/",
-                &coord,
-                "coordinator",
-            )
-            .with_info("InputBytes", InfoValue::Int(input_bytes[lw].round() as i64)),
-        );
-        // Fragment-local replay of the committed rounds: the lost fragment
-        // re-evaluates its own kernel, fed by the boundary updates its
-        // peers logged (resent, never recomputed).
-        let mut prev_r = rebuilt;
-        for (ri, rs) in rounds.iter().enumerate().take(r_idx) {
-            let r = rs.round;
-            let rtag = format!("job/proc/recovery/replay/r{r}/");
-            let mut deps = vec![prev_r];
-            if ri > 0 {
-                for (a, row) in rounds[ri - 1].boundary.iter().enumerate() {
-                    if a == lw || row[lw] == 0 {
-                        continue;
-                    }
-                    deps.push(b.dag.add(
-                        ActivityKind::Transfer {
-                            src: NodeId(a as u16),
-                            dst: lost,
-                            bytes: row[lw] as f64 * costs.bytes_per_message * scale,
-                        },
-                        &[prev_r],
-                        format!("{rtag}in/a{a}"),
-                    ));
-                }
-            }
-            let frag = &rs.per_fragment[lw];
-            let work = (frag.edges_scanned as f64 * costs.compute_us_per_edge
-                + frag.active_vertices as f64 * costs.compute_us_per_vertex)
-                * scale;
-            prev_r = b.dag.add(
-                ActivityKind::Compute {
-                    node: lost,
-                    work_core_us: work.max(400.0),
-                    parallelism: 1,
-                },
-                &deps,
-                format!("{rtag}eval"),
-            );
-            b.specs.push(OpSpec::new(
-                recover_actor.clone(),
-                Mission::new("Replay", r.to_string()),
-                Some(recover_key.clone()),
-                rtag,
-                &coord,
-                "coordinator",
-            ));
-        }
-        // The interrupted round never committed its sync: it re-runs in
-        // full, covered by the final Replay op.
-        prev = b.round(r_idx, prev_r, "job/proc/recovery/replay/", false);
-        b.specs.push(OpSpec::new(
-            recover_actor.clone(),
-            Mission::new("Replay", r_star.to_string()),
-            Some(recover_key.clone()),
-            format!("job/proc/recovery/replay/r{r_star}/"),
-            &coord,
-            "coordinator",
-        ));
-        for ri in r_idx + 1..rounds.len() {
-            prev = b.round(ri, prev, "job/proc/", true);
-        }
-        let offloaded = b.offload(prev);
-        b.cleanup(offloaded);
-        drop(recovery_span);
-
-        let restart_after = crash.restart_after_us.unwrap_or(self.failure_detect_us);
-        let exec_plan = FaultPlan {
-            crashes: vec![NodeCrash {
-                node: crash.node,
-                at_us: t_eff,
-                restart_after_us: Some(restart_after),
-            }],
-            slowdowns: plan.slowdowns.clone(),
-        };
-        b.finish(&exec_plan, output)
+            .map(|rs| format!("job/proc/r{}/", rs.round))
+            .collect();
+        let (b, exec) = JobBuilder::new("grape", cluster, cfg, ("Worker", "worker"))
+            .single_failure(plan, self.failure_detect_us, &units, |b, crash| {
+                layout.job(b, crash)
+            })?;
+        b.finish(&exec, output, rounds.len(), |b, sim| {
+            b.resident(sim, "job/", "load/w", &sizes.edges)
+        })
     }
 }
 
-/// Incremental DAG + spec builder shared by the healthy and the
-/// fault-recovery job layouts.
-struct Build<'a> {
+fn coordinator() -> Actor {
+    Actor::new("Coordinator", "0")
+}
+
+fn worker(w: u16) -> Actor {
+    Actor::new("Worker", w.to_string())
+}
+
+/// CPU work of one fragment's sequential kernel in a round, core-µs.
+fn work(cfg: &JobConfig, frag: &FragmentRound) -> f64 {
+    (frag.edges_scanned as f64 * cfg.costs.compute_us_per_edge
+        + frag.active_vertices as f64 * cfg.costs.compute_us_per_vertex)
+        * cfg.scale_factor
+}
+
+/// The GRAPE job layout, healthy or recovering from one crash.
+struct Layout<'a> {
     p: &'a GrapePlatform,
-    cfg: &'a JobConfig,
-    cluster: &'a ClusterSpec,
     rounds: &'a [RoundStats],
-    verts: &'a [u64],
-    edges: &'a [u64],
-    input_bytes: &'a [f64],
-    dag: ActivityGraph,
-    specs: Vec<OpSpec>,
-    job_actor: Actor,
-    job_key: (Actor, Mission),
-    coord_node: String,
+    sizes: &'a Sizes,
 }
 
-impl<'a> Build<'a> {
-    fn new(
-        p: &'a GrapePlatform,
-        cfg: &'a JobConfig,
-        cluster: &'a ClusterSpec,
-        rounds: &'a [RoundStats],
-        verts: &'a [u64],
-        edges: &'a [u64],
-        input_bytes: &'a [f64],
-    ) -> Self {
-        let job_actor = Actor::new("Job", "0");
-        let job_mission = Mission::new("GrapeJob", "0");
-        let job_key = (job_actor.clone(), job_mission.clone());
-        let coord_node = cluster.node(NodeId(0)).name.clone();
-        let specs: Vec<OpSpec> = vec![OpSpec::new(
-            job_actor.clone(),
-            job_mission,
-            None,
-            "job/",
-            &coord_node,
-            "coordinator",
-        )
-        .with_info("Platform", InfoValue::Text("Grape".into()))
-        .with_info("Algorithm", InfoValue::Text(cfg.algorithm.name().into()))
-        .with_info("Dataset", InfoValue::Text(cfg.dataset.clone()))
-        .with_info("Workers", InfoValue::Int(cfg.nodes as i64))
-        .with_info("Partitioner", InfoValue::Text(p.partitioner.name().into()))];
-        Build {
-            p,
-            cfg,
-            cluster,
-            rounds,
-            verts,
-            edges,
-            input_bytes,
-            dag: ActivityGraph::new(),
-            specs,
-            job_actor,
-            job_key,
-            coord_node,
-        }
-    }
-
-    fn worker_node(&self, w: u16) -> String {
-        self.cluster.node(NodeId(w)).name.clone()
-    }
-
-    fn domain(&self, mission: &str) -> (Actor, Mission) {
-        (self.job_actor.clone(), Mission::new(mission, "0"))
+impl Layout<'_> {
+    fn job(&self, b: &mut JobBuilder, crash: Option<&CrashSite>) {
+        let (p, cfg) = (self.p, b.cfg);
+        b.process("coordinator");
+        b.op(Actor::new("Job", "0"), "GrapeJob", 0, "job/", |b| {
+            b.info("Platform", InfoValue::Text("Grape".into()));
+            b.info("Algorithm", InfoValue::Text(cfg.algorithm.name().into()));
+            b.info("Dataset", InfoValue::Text(cfg.dataset.clone()));
+            b.info("Workers", InfoValue::Int(cfg.nodes as i64));
+            b.info("Partitioner", InfoValue::Text(p.partitioner.name().into()));
+            let started = b.child("Startup", 0, "startup/", |b| self.startup(b));
+            let loaded = b.child("LoadGraph", 0, "load/", |b| self.load(b, started));
+            let processed = b.child("ProcessGraph", 0, "proc/", |b| {
+                (0..self.rounds.len()).fold(loaded, |prev, ri| match crash {
+                    Some(site) if site.unit == ri => self.recover(b, site, prev),
+                    _ => self.round(b, ri, prev),
+                })
+            });
+            let offloaded = b.child("OffloadGraph", 0, "offload/", |b| {
+                self.offload(b, processed)
+            });
+            b.child("Cleanup", 0, "cleanup/", |b| {
+                b.op(coordinator(), "Terminate", 0, "finalize", |b| {
+                    b.delay(p.finalize_us, &[offloaded], "")
+                })
+            });
+        });
     }
 
     // -------------------------------------------------- Startup (L1)
-    fn startup(&mut self) -> ActivityId {
-        let k = self.cfg.nodes;
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
-            Mission::new("Startup", "0"),
-            Some(self.job_key.clone()),
-            "job/startup/",
-            &self.coord_node,
-            "coordinator",
-        ));
-        let deploy = self.dag.add(
-            ActivityKind::Delay {
-                duration_us: self.p.deploy_us,
-            },
-            &[],
-            "job/startup/coordinator",
-        );
-        self.specs.push(OpSpec::new(
-            Actor::new("Coordinator", "0"),
-            Mission::new("DeployCoordinator", "0"),
-            Some(self.domain("Startup")),
-            "job/startup/coordinator",
-            &self.coord_node,
-            "coordinator",
-        ));
-        self.specs.push(OpSpec::new(
-            Actor::new("Coordinator", "0"),
-            Mission::new("DeployWorkers", "0"),
-            Some(self.domain("Startup")),
-            "job/startup/deploy/",
-            &self.coord_node,
-            "coordinator",
-        ));
-        let mut ready: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for w in 0..k {
-            let launch = self.dag.add(
-                ActivityKind::Delay {
-                    duration_us: self.p.worker_launch_us * (1.0 + 0.05 * w as f64),
-                },
-                &[deploy],
-                format!("job/startup/deploy/w{w}"),
-            );
-            self.specs.push(OpSpec::new(
-                Actor::new("Worker", w.to_string()),
-                Mission::new("LocalStartup", "0"),
-                Some((
-                    Actor::new("Coordinator", "0"),
-                    Mission::new("DeployWorkers", "0"),
-                )),
-                format!("job/startup/deploy/w{w}"),
-                self.worker_node(w),
-                format!("worker-{w}"),
-            ));
-            ready.push(launch);
-        }
-        self.dag.barrier(&ready, "job/startup/all-ready")
+    fn startup(&self, b: &mut JobBuilder) -> ActivityId {
+        let p = self.p;
+        let deploy = b.op(coordinator(), "DeployCoordinator", 0, "coordinator", |b| {
+            b.delay(p.deploy_us, &[], "")
+        });
+        let ready: Vec<ActivityId> = b.op(coordinator(), "DeployWorkers", 0, "deploy/", |b| {
+            (0..b.cfg.nodes)
+                .map(|w| {
+                    b.op(worker(w), "LocalStartup", 0, &format!("w{w}"), |b| {
+                        let launch_us = p.worker_launch_us * (1.0 + 0.05 * w as f64);
+                        b.delay(launch_us, &[deploy], "")
+                    })
+                })
+                .collect()
+        });
+        b.barrier(&ready, "all-ready")
     }
 
     // ------------------------------------------------ LoadGraph (L1)
-    fn load(&mut self, started: ActivityId) -> ActivityId {
-        let k = self.cfg.nodes;
-        let costs = &self.cfg.costs;
-        let scale = self.cfg.scale_factor;
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
-            Mission::new("LoadGraph", "0"),
-            Some(self.job_key.clone()),
-            "job/load/",
-            &self.coord_node,
-            "coordinator",
-        ));
-        let mut loaded: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for w in 0..k {
-            let node = NodeId(w);
-            let tagp = format!("job/load/w{w}/");
-            self.specs.push(
-                OpSpec::new(
-                    Actor::new("Worker", w.to_string()),
-                    Mission::new("LocalLoad", "0"),
-                    Some(self.domain("LoadGraph")),
-                    tagp.clone(),
-                    self.worker_node(w),
-                    format!("worker-{w}"),
-                )
-                .with_info(
-                    "InputBytes",
-                    InfoValue::Int(self.input_bytes[w as usize].round() as i64),
-                ),
-            );
-            // Parallel read of this worker's fragment from shared storage.
-            let read = self.dag.add(
-                ActivityKind::SharedRead {
-                    node,
-                    bytes: self.input_bytes[w as usize],
-                },
-                &[started],
-                format!("{tagp}read"),
-            );
-            self.specs.push(OpSpec::new(
-                Actor::new("Worker", w.to_string()),
-                Mission::new("ReadFragment", "0"),
-                Some((
-                    Actor::new("Worker", w.to_string()),
-                    Mission::new("LocalLoad", "0"),
-                )),
-                format!("{tagp}read"),
-                self.worker_node(w),
-                format!("worker-{w}"),
-            ));
-            let parse = self.dag.add(
-                ActivityKind::Compute {
-                    node,
-                    work_core_us: self.input_bytes[w as usize] * costs.parse_cpu_us_per_byte,
-                    parallelism: costs.worker_threads,
-                },
-                &[read],
-                format!("{tagp}parse"),
-            );
-            let build = self.dag.add(
-                ActivityKind::Compute {
-                    node,
-                    work_core_us: self.edges[w as usize] as f64
-                        * scale
-                        * costs.build_cpu_us_per_edge,
-                    parallelism: costs.worker_threads,
-                },
-                &[parse],
-                format!("{tagp}build"),
-            );
-            self.specs.push(OpSpec::new(
-                Actor::new("Worker", w.to_string()),
-                Mission::new("BuildIndex", "0"),
-                Some((
-                    Actor::new("Worker", w.to_string()),
-                    Mission::new("LocalLoad", "0"),
-                )),
-                format!("{tagp}build"),
-                self.worker_node(w),
-                format!("worker-{w}"),
-            ));
-            loaded.push(build);
-        }
-        self.dag.barrier(&loaded, "job/load/all-loaded")
+    fn load(&self, b: &mut JobBuilder, started: ActivityId) -> ActivityId {
+        let cfg = b.cfg;
+        let costs = &cfg.costs;
+        let loaded: Vec<ActivityId> = (0..cfg.nodes)
+            .map(|w| {
+                let bytes = self.sizes.input_bytes[w as usize];
+                b.op(worker(w), "LocalLoad", 0, &format!("w{w}/"), |b| {
+                    b.rounded("InputBytes", bytes);
+                    // Parallel read of this worker's fragment from shared
+                    // storage.
+                    let read = b.child("ReadFragment", 0, "read", |b| {
+                        b.shared_read(w, bytes, &[started], "")
+                    });
+                    let parse_us = bytes * costs.parse_cpu_us_per_byte;
+                    let parse = b.compute(w, parse_us, costs.worker_threads, &[read], "parse");
+                    let build_us = self.sizes.edges[w as usize] as f64
+                        * cfg.scale_factor
+                        * costs.build_cpu_us_per_edge;
+                    b.child("BuildIndex", 0, "build", |b| {
+                        b.compute(w, build_us, costs.worker_threads, &[parse], "")
+                    })
+                })
+            })
+            .collect();
+        b.barrier(&loaded, "all-loaded")
     }
 
     // ---------------------------------------------- ProcessGraph (L1)
-    fn process_graph(&mut self) {
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
-            Mission::new("ProcessGraph", "0"),
-            Some(self.job_key.clone()),
-            "job/proc/",
-            &self.coord_node,
-            "coordinator",
-        ));
+    fn round(&self, b: &mut JobBuilder, ri: usize, prev: ActivityId) -> ActivityId {
+        let rs = &self.rounds[ri];
+        b.op(
+            Actor::new("Job", "0"),
+            "Round",
+            rs.round,
+            &format!("r{}/", rs.round),
+            |b| {
+                b.scaled("ActiveVertices", rs.total_active());
+                b.scaled("BoundaryMessages", rs.total_boundary());
+                self.round_body(b, ri, prev)
+            },
+        )
     }
 
     /// One boundary-synchronized round: per-fragment *sequential* kernel
     /// (parallelism 1 — the defining GRAPE trait), boundary-update
-    /// transfers, and the coordinator's sync barrier. `prefix` places the
-    /// activities; `with_specs` controls whether the round emits its own
-    /// Granula operations (replays are covered by a single `Replay` op
-    /// pushed by the caller).
-    fn round(
-        &mut self,
-        ri: usize,
-        prev_barrier: ActivityId,
-        prefix: &str,
-        with_specs: bool,
-    ) -> ActivityId {
-        let k = self.cfg.nodes;
-        let costs = &self.cfg.costs;
-        let scale = self.cfg.scale_factor;
+    /// transfers, and the coordinator's sync barrier, under the current
+    /// scope (a `Round` op, or a quiet scope under a `Replay` op).
+    fn round_body(&self, b: &mut JobBuilder, ri: usize, prev_barrier: ActivityId) -> ActivityId {
+        let cfg = b.cfg;
         let rs = &self.rounds[ri];
         let r = rs.round;
-        let r_tag = format!("{prefix}r{r}/");
         let eval_kind = if r == 0 { "PEval" } else { "IncEval" };
-        if with_specs {
-            self.specs.push(
-                OpSpec::new(
-                    self.job_actor.clone(),
-                    Mission::new("Round", r.to_string()),
-                    Some(self.domain("ProcessGraph")),
-                    r_tag.clone(),
-                    &self.coord_node,
-                    "coordinator",
-                )
-                .with_info(
-                    "ActiveVertices",
-                    InfoValue::Int((rs.total_active() as f64 * scale).round() as i64),
-                )
-                .with_info(
-                    "BoundaryMessages",
-                    InfoValue::Int((rs.total_boundary() as f64 * scale).round() as i64),
-                ),
-            );
-        }
-        let mut evals: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for w in 0..k {
-            let frag = &rs.per_fragment[w as usize];
-            let work = (frag.edges_scanned as f64 * costs.compute_us_per_edge
-                + frag.active_vertices as f64 * costs.compute_us_per_vertex)
-                * scale;
-            let eval = self.dag.add(
-                ActivityKind::Compute {
-                    node: NodeId(w),
+        let evals: Vec<ActivityId> = (0..cfg.nodes)
+            .map(|w| {
+                let frag = &rs.per_fragment[w as usize];
+                b.op(worker(w), eval_kind, r, &format!("f{w}/"), |b| {
+                    b.scaled("EdgesScanned", frag.edges_scanned);
+                    b.scaled("ActiveVertices", frag.active_vertices);
                     // Idle fragments still tick over the round machinery.
-                    work_core_us: work.max(400.0),
-                    parallelism: 1,
-                },
-                &[prev_barrier],
-                format!("{r_tag}f{w}/eval"),
-            );
-            if with_specs {
-                self.specs.push(
-                    OpSpec::new(
-                        Actor::new("Worker", w.to_string()),
-                        Mission::new(eval_kind, r.to_string()),
-                        Some((self.job_actor.clone(), Mission::new("Round", r.to_string()))),
-                        format!("{r_tag}f{w}/"),
-                        self.worker_node(w),
-                        format!("worker-{w}"),
-                    )
-                    .with_info(
-                        "EdgesScanned",
-                        InfoValue::Int((frag.edges_scanned as f64 * scale).round() as i64),
-                    )
-                    .with_info(
-                        "ActiveVertices",
-                        InfoValue::Int((frag.active_vertices as f64 * scale).round() as i64),
-                    ),
-                );
-            }
-            evals.push(eval);
-        }
+                    b.compute(w, work(cfg, frag).max(400.0), 1, &[prev_barrier], "eval")
+                })
+            })
+            .collect();
         // Boundary-update exchange, then the coordinator's sync.
-        let mut deps: Vec<ActivityId> = evals.clone();
-        for (a, row) in rs.boundary.iter().enumerate() {
-            for (bdst, &count) in row.iter().enumerate() {
-                if a == bdst || count == 0 {
-                    continue;
+        b.op(coordinator(), "BoundarySync", r, "sync/", |b| {
+            let mut deps = evals.clone();
+            for (a, row) in rs.boundary.iter().enumerate() {
+                for (d, &count) in row.iter().enumerate() {
+                    if a != d && count > 0 {
+                        let bytes = count as f64 * cfg.costs.bytes_per_message * cfg.scale_factor;
+                        let leaf = format!("a{a}b{d}");
+                        deps.push(b.transfer(a as u16, d as u16, bytes, &[evals[a]], &leaf));
+                    }
                 }
-                deps.push(self.dag.add(
-                    ActivityKind::Transfer {
-                        src: NodeId(a as u16),
-                        dst: NodeId(bdst as u16),
-                        bytes: count as f64 * costs.bytes_per_message * scale,
-                    },
-                    &[evals[a]],
-                    format!("{r_tag}sync/a{a}b{bdst}"),
-                ));
             }
-        }
-        let join = self.dag.barrier(&deps, format!("{r_tag}sync/join"));
-        let sync = self.dag.add(
-            ActivityKind::Delay {
-                duration_us: costs.barrier_us,
-            },
-            &[join],
-            format!("{r_tag}sync/coord"),
-        );
-        if with_specs {
-            self.specs.push(OpSpec::new(
-                Actor::new("Coordinator", "0"),
-                Mission::new("BoundarySync", r.to_string()),
-                Some((self.job_actor.clone(), Mission::new("Round", r.to_string()))),
-                format!("{r_tag}sync/"),
-                &self.coord_node,
-                "coordinator",
-            ));
-        }
-        sync
+            let join = b.barrier(&deps, "join");
+            b.delay(cfg.costs.barrier_us, &[join], "coord")
+        })
     }
 
-    /// The attempt at round `ri` that the crash interrupts: per-fragment
-    /// kernels, no sync — the failure means the round never commits, and
-    /// recovery (not this attempt) gates further work.
-    fn doomed_attempt(&mut self, ri: usize, prev_barrier: ActivityId) {
-        let k = self.cfg.nodes;
-        let costs = &self.cfg.costs;
-        let scale = self.cfg.scale_factor;
-        let rs = &self.rounds[ri];
-        let r = rs.round;
-        let tag = format!("job/proc/r{r}/");
-        self.specs.push(OpSpec::new(
-            Actor::new("Coordinator", "0"),
-            Mission::new("FailedRound", r.to_string()),
-            Some(self.domain("ProcessGraph")),
-            tag.clone(),
-            &self.coord_node,
-            "coordinator",
-        ));
-        for w in 0..k {
-            let frag = &rs.per_fragment[w as usize];
-            let work = (frag.edges_scanned as f64 * costs.compute_us_per_edge
-                + frag.active_vertices as f64 * costs.compute_us_per_vertex)
-                * scale;
-            self.dag.add(
-                ActivityKind::Compute {
-                    node: NodeId(w),
-                    work_core_us: work.max(400.0),
-                    parallelism: 1,
-                },
-                &[prev_barrier],
-                format!("{tag}try/f{w}/eval"),
-            );
-        }
+    /// Fragment-local recovery from the crash in round `site.unit`. The
+    /// attempt the crash interrupts gets its kernels but no sync — it never
+    /// commits. The coordinator detects the lost worker, a replacement
+    /// re-reads only the lost fragment, replays that fragment's
+    /// evaluations of the committed rounds from the boundary updates its
+    /// peers logged (resent, never recomputed), and the interrupted round
+    /// re-runs in full.
+    fn recover(&self, b: &mut JobBuilder, site: &CrashSite, prev: ActivityId) -> ActivityId {
+        let (cfg, ri) = (b.cfg, site.unit);
+        let costs = &cfg.costs;
+        let r = self.rounds[ri].round;
+        b.op(coordinator(), "FailedRound", r, &format!("r{r}/"), |b| {
+            for (w, frag) in self.rounds[ri].per_fragment.iter().enumerate() {
+                let work_us = work(cfg, frag).max(400.0);
+                b.compute(w as u16, work_us, 1, &[prev], &format!("try/f{w}/eval"));
+            }
+        });
+        // Only the interrupted round's partial work is wasted: committed
+        // rounds survive on the healthy fragments and the lost one is
+        // reconstructed by fragment-local replay, not re-executed globally.
+        let wasted_us = site.failure.at_us - site.unit_starts[ri];
+        let lost = site.failure.node.0;
+        let lw = lost as usize;
+        b.recover(
+            coordinator(),
+            "recovery/",
+            &site.failure,
+            wasted_us,
+            |b, detect| {
+                let bytes = self.sizes.input_bytes[lw];
+                let rebuilt = b.child("ReloadFragment", 0, "reload/", |b| {
+                    b.rounded("InputBytes", bytes);
+                    let reread = b.shared_read(lost, bytes, &[detect], "read");
+                    let build_us = self.sizes.edges[lw] as f64
+                        * cfg.scale_factor
+                        * costs.build_cpu_us_per_edge;
+                    b.compute(lost, build_us, costs.worker_threads, &[reread], "build")
+                });
+                let replayed = (0..ri).fold(rebuilt, |prev, i| {
+                    let rs = &self.rounds[i];
+                    b.child("Replay", rs.round, &format!("replay/r{}/", rs.round), |b| {
+                        let mut deps = vec![prev];
+                        // Updates the lost fragment received in the
+                        // previous round's sync.
+                        let inbound = match i {
+                            0 => &[][..],
+                            _ => &self.rounds[i - 1].boundary[..],
+                        };
+                        for (a, row) in inbound.iter().enumerate() {
+                            if a != lw && row[lw] > 0 {
+                                let bytes =
+                                    row[lw] as f64 * costs.bytes_per_message * cfg.scale_factor;
+                                let leaf = format!("in/a{a}");
+                                deps.push(b.transfer(a as u16, lost, bytes, &[prev], &leaf));
+                            }
+                        }
+                        let work_us = work(cfg, &rs.per_fragment[lw]).max(400.0);
+                        b.compute(lost, work_us, 1, &deps, "eval")
+                    })
+                });
+                b.child("Replay", r, &format!("replay/r{r}/"), |b| {
+                    b.quiet(|b| self.round_body(b, ri, replayed))
+                })
+            },
+        )
     }
 
     // --------------------------------------------- OffloadGraph (L1)
-    fn offload(&mut self, prev_barrier: ActivityId) -> ActivityId {
-        let k = self.cfg.nodes;
-        let costs = &self.cfg.costs;
-        let scale = self.cfg.scale_factor;
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
-            Mission::new("OffloadGraph", "0"),
-            Some(self.job_key.clone()),
-            "job/offload/",
-            &self.coord_node,
-            "coordinator",
-        ));
-        let mut offloads: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for w in 0..k {
-            let bytes = self.verts[w as usize] as f64 * costs.bytes_per_vertex_out * scale;
-            let write = self.dag.add(
-                ActivityKind::SharedRead {
-                    node: NodeId(w),
-                    bytes,
-                },
-                &[prev_barrier],
-                format!("job/offload/w{w}/write"),
-            );
-            self.specs.push(
-                OpSpec::new(
-                    Actor::new("Worker", w.to_string()),
-                    Mission::new("LocalOffload", "0"),
-                    Some(self.domain("OffloadGraph")),
-                    format!("job/offload/w{w}/"),
-                    self.worker_node(w),
-                    format!("worker-{w}"),
-                )
-                .with_info("OutputBytes", InfoValue::Int(bytes.round() as i64)),
-            );
-            offloads.push(write);
-        }
-        self.dag.barrier(&offloads, "job/offload/all-done")
-    }
-
-    // -------------------------------------------------- Cleanup (L1)
-    fn cleanup(&mut self, all_offloaded: ActivityId) {
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
-            Mission::new("Cleanup", "0"),
-            Some(self.job_key.clone()),
-            "job/cleanup/",
-            &self.coord_node,
-            "coordinator",
-        ));
-        self.dag.add(
-            ActivityKind::Delay {
-                duration_us: self.p.finalize_us,
-            },
-            &[all_offloaded],
-            "job/cleanup/finalize",
-        );
-        self.specs.push(OpSpec::new(
-            Actor::new("Coordinator", "0"),
-            Mission::new("Terminate", "0"),
-            Some(self.domain("Cleanup")),
-            "job/cleanup/finalize",
-            &self.coord_node,
-            "coordinator",
-        ));
-    }
-
-    // ------------------------------------------------------- Simulate
-    fn finish(self, plan: &FaultPlan, output: AlgorithmOutput) -> Result<PlatformRun, SimError> {
-        let k = self.cfg.nodes;
-        let costs = &self.cfg.costs;
-        let scale = self.cfg.scale_factor;
-        let sim = {
-            let _span = granula_trace::span!("platform", "grape.simulate {}", self.cfg.job_id);
-            Simulation::new(self.cluster.clone()).run_with_faults(&self.dag, plan)?
-        };
-        let events = emit_events(&self.specs, &self.dag, &sim);
-        let mut env_samples = trace_to_samples(&sim.trace);
-        // Memory view: each fragment becomes resident over its load
-        // interval and is released when the engine finalizes.
-        let release = sim
-            .span_of_tag(&self.dag, "job/cleanup/")
-            .map(|(s, _)| s.round() as u64)
-            .unwrap_or(sim.makespan_us.round() as u64);
-        let mut phases = Vec::with_capacity(k as usize);
-        for w in 0..k {
-            if let Some((ls, le)) = sim.span_of_tag(&self.dag, &format!("job/load/w{w}/")) {
-                phases.push(MemoryPhase {
-                    node: self.worker_node(w),
-                    ramp_start_us: ls.round() as u64,
-                    ramp_end_us: le.round() as u64,
-                    hold_until_us: release,
-                    bytes: self.edges[w as usize] as f64 * scale * costs.bytes_per_edge_mem,
-                });
-            }
-        }
-        env_samples.extend(memory_samples(&phases, sim.makespan_us.round() as u64));
-        Ok(PlatformRun {
-            events,
-            env_samples,
-            output,
-            makespan_us: sim.makespan_us.round() as u64,
-            iterations: self.rounds.len() as u32,
-        })
+    fn offload(&self, b: &mut JobBuilder, prev: ActivityId) -> ActivityId {
+        let cfg = b.cfg;
+        let writes: Vec<ActivityId> = (0..cfg.nodes)
+            .map(|w| {
+                let bytes = self.sizes.verts[w as usize] as f64
+                    * cfg.costs.bytes_per_vertex_out
+                    * cfg.scale_factor;
+                b.op(worker(w), "LocalOffload", 0, &format!("w{w}/"), |b| {
+                    b.rounded("OutputBytes", bytes);
+                    b.shared_read(w, bytes, &[prev], "write")
+                })
+            })
+            .collect();
+        b.barrier(&writes, "all-done")
     }
 }
 
@@ -1148,6 +666,7 @@ impl<'a> Build<'a> {
 mod tests {
     use super::*;
     use crate::common::CostModel;
+    use gpsim_cluster::NodeId;
     use gpsim_graph::gen::{datagen_like, GenConfig};
     use granula_monitor::Assembler;
 

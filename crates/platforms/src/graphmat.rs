@@ -8,18 +8,13 @@
 //! matrix-vector products with an all-to-all message exchange and an
 //! MPI-allreduce barrier.
 
-use gpsim_cluster::{
-    ActivityGraph, ActivityId, ActivityKind, ClusterSpec, NodeId, SimError, Simulation,
-};
+use gpsim_cluster::{ActivityId, ClusterSpec, FaultPlan, SimError};
 use gpsim_graph::{BlockPartition, Graph};
-use granula_model::{Actor, InfoValue, Mission};
+use granula_model::{Actor, InfoValue};
 
-use crate::common::{
-    memory_samples, trace_to_samples, Algorithm, AlgorithmOutput, JobConfig, MemoryPhase,
-    PlatformRun,
-};
+use crate::common::{Algorithm, AlgorithmOutput, JobConfig, PlatformRun};
 use crate::gas::IterationMode;
-use crate::ops::{emit_events, OpSpec};
+use crate::ops::{JobBuilder, Sizes};
 use crate::spmv::{self, SpmvIteration};
 
 /// GraphMat-like platform configuration.
@@ -125,379 +120,166 @@ impl GraphMatPlatform {
             "cluster too small for {} ranks",
             cfg.nodes
         );
-        let k = cfg.nodes;
-        let costs = &cfg.costs;
-        let scale = cfg.scale_factor;
-        let part = BlockPartition::by_edges(g, k);
-        let (output, iterations) = run_program(g, &part, cfg.algorithm, self.max_iterations);
+        let part = BlockPartition::by_edges(g, cfg.nodes);
+        let (output, iterations) = {
+            let _span = granula_trace::span!("platform", "graphmat.spmv_program {}", cfg.job_id);
+            run_program(g, &part, cfg.algorithm, self.max_iterations)
+        };
+        let sizes = Sizes::new(g, cfg, |v| part.owner_of(v));
+        let (k, costs, scale) = (cfg.nodes, &cfg.costs, cfg.scale_factor);
+        let mut b = JobBuilder::new("graphmat", cluster, cfg, ("Machine", "rank"));
+        b.process("mpiexec");
+        b.op(Actor::new("Job", "0"), "GraphMatJob", 0, "job/", |b| {
+            b.info("Platform", InfoValue::Text("GraphMat".into()));
+            b.info("Algorithm", InfoValue::Text(cfg.algorithm.name().into()));
+            b.info("Dataset", InfoValue::Text(cfg.dataset.clone()));
+            b.info("Ranks", InfoValue::Int(k as i64));
 
-        let edge_sizes = part.edge_sizes(g);
-        let vert_sizes: Vec<u64> = (0..k).map(|m| part.range(m).len() as u64).collect();
+            // -------------------------------------------------- Startup (L1)
+            let started = b.child("Startup", 0, "startup/", |b| {
+                let ranks: Vec<ActivityId> = b.op(master(), "MpiSetup", 0, "mpi/", |b| {
+                    let mpiexec = b.delay(self.mpiexec_us, &[], "daemon");
+                    (0..k)
+                        .map(|m| b.delay(self.per_rank_us, &[mpiexec], &format!("rank-{m}")))
+                        .collect()
+                });
+                b.barrier(&ranks, "ready")
+            });
 
-        let mut dag = ActivityGraph::new();
-        let mut specs: Vec<OpSpec> = Vec::new();
-        let job_actor = Actor::new("Job", "0");
-        let job_mission = Mission::new("GraphMatJob", "0");
-        let job_key = (job_actor.clone(), job_mission.clone());
-        let node_name = |m: u16| cluster.node(NodeId(m)).name.clone();
-        let head = node_name(0);
+            // ------------------------------------------------ LoadGraph (L1)
+            b.process("rank-0");
+            let loaded = b.child("LoadGraph", 0, "load/", |b| {
+                let converted: Vec<ActivityId> = (0..k)
+                    .map(|m| {
+                        let bytes = sizes.input_bytes[m as usize];
+                        b.op(machine(m), "LocalLoad", 0, &format!("m{m}/"), |b| {
+                            b.rounded("InputBytes", bytes);
+                            // Parallel read from the shared server, pipelined
+                            // with parsing.
+                            let read = b.child("ReadInput", 0, "read", |b| {
+                                b.shared_read(m, bytes, &[started], "")
+                            });
+                            let parse_us = bytes * costs.parse_cpu_us_per_byte;
+                            let parse =
+                                b.compute(m, parse_us, costs.worker_threads, &[read], "parse");
+                            // The expensive conversion to the internal SpMV
+                            // format.
+                            let convert_us =
+                                sizes.edges[m as usize] as f64 * scale * self.convert_us_per_edge;
+                            b.child("ConvertFormat", 0, "convert", |b| {
+                                b.compute(m, convert_us, costs.worker_threads, &[parse], "")
+                            })
+                        })
+                    })
+                    .collect();
+                b.barrier(&converted, "done")
+            });
 
-        specs.push(
-            OpSpec::new(
-                job_actor.clone(),
-                job_mission.clone(),
-                None,
-                "job/",
-                &head,
-                "mpiexec",
-            )
-            .with_info("Platform", InfoValue::Text("GraphMat".into()))
-            .with_info("Algorithm", InfoValue::Text(cfg.algorithm.name().into()))
-            .with_info("Dataset", InfoValue::Text(cfg.dataset.clone()))
-            .with_info("Ranks", InfoValue::Int(k as i64)),
-        );
-        let domain = |mission: &str| (job_actor.clone(), Mission::new(mission, "0"));
+            // ---------------------------------------------- ProcessGraph (L1)
+            let processed = b.child("ProcessGraph", 0, "proc/", |b| {
+                iterations
+                    .iter()
+                    .fold(loaded, |prev, it| iteration(b, it, prev))
+            });
 
-        // -------------------------------------------------- Startup (L1)
-        specs.push(OpSpec::new(
-            job_actor.clone(),
-            Mission::new("Startup", "0"),
-            Some(job_key.clone()),
-            "job/startup/",
-            &head,
-            "mpiexec",
-        ));
-        let mpiexec = dag.add(
-            ActivityKind::Delay {
-                duration_us: self.mpiexec_us,
-            },
-            &[],
-            "job/startup/mpi/daemon",
-        );
-        let mut ranks: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for m in 0..k {
-            ranks.push(dag.add(
-                ActivityKind::Delay {
-                    duration_us: self.per_rank_us,
-                },
-                &[mpiexec],
-                format!("job/startup/mpi/rank-{m}"),
-            ));
-        }
-        specs.push(OpSpec::new(
-            Actor::new("Master", "0"),
-            Mission::new("MpiSetup", "0"),
-            Some(domain("Startup")),
-            "job/startup/mpi/",
-            &head,
-            "mpiexec",
-        ));
-        let started = dag.barrier(&ranks, "job/startup/ready");
+            // --------------------------------------------- OffloadGraph (L1)
+            let offloaded = b.child("OffloadGraph", 0, "offload/", |b| {
+                let writes: Vec<ActivityId> = (0..k)
+                    .map(|m| {
+                        let bytes =
+                            sizes.verts[m as usize] as f64 * costs.bytes_per_vertex_out * scale;
+                        b.op(machine(m), "LocalOffload", 0, &format!("m{m}/"), |b| {
+                            b.rounded("OutputBytes", bytes);
+                            b.shared_read(m, bytes, &[processed], "write")
+                        })
+                    })
+                    .collect();
+                b.barrier(&writes, "done")
+            });
 
-        // ------------------------------------------------ LoadGraph (L1)
-        specs.push(OpSpec::new(
-            job_actor.clone(),
-            Mission::new("LoadGraph", "0"),
-            Some(job_key.clone()),
-            "job/load/",
-            &head,
-            "rank-0",
-        ));
-        let mut converted: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for m in 0..k {
-            let bytes = (vert_sizes[m as usize] as f64 * 10.0
-                + edge_sizes[m as usize] as f64 * costs.bytes_per_edge_in)
-                * scale;
-            let tagp = format!("job/load/m{m}/");
-            specs.push(
-                OpSpec::new(
-                    Actor::new("Machine", m.to_string()),
-                    Mission::new("LocalLoad", "0"),
-                    Some(domain("LoadGraph")),
-                    tagp.clone(),
-                    node_name(m),
-                    format!("rank-{m}"),
-                )
-                .with_info("InputBytes", InfoValue::Int(bytes.round() as i64)),
-            );
-            // Parallel read from the shared server, pipelined with parsing.
-            let read = dag.add(
-                ActivityKind::SharedRead {
-                    node: NodeId(m),
-                    bytes,
-                },
-                &[started],
-                format!("{tagp}read"),
-            );
-            specs.push(OpSpec::new(
-                Actor::new("Machine", m.to_string()),
-                Mission::new("ReadInput", "0"),
-                Some((
-                    Actor::new("Machine", m.to_string()),
-                    Mission::new("LocalLoad", "0"),
-                )),
-                format!("{tagp}read"),
-                node_name(m),
-                format!("rank-{m}"),
-            ));
-            let parse = dag.add(
-                ActivityKind::Compute {
-                    node: NodeId(m),
-                    work_core_us: bytes * costs.parse_cpu_us_per_byte,
-                    parallelism: costs.worker_threads,
-                },
-                &[read],
-                format!("{tagp}parse"),
-            );
-            // The expensive conversion to the internal SpMV format.
-            let convert = dag.add(
-                ActivityKind::Compute {
-                    node: NodeId(m),
-                    work_core_us: edge_sizes[m as usize] as f64 * scale * self.convert_us_per_edge,
-                    parallelism: costs.worker_threads,
-                },
-                &[parse],
-                format!("{tagp}convert"),
-            );
-            specs.push(OpSpec::new(
-                Actor::new("Machine", m.to_string()),
-                Mission::new("ConvertFormat", "0"),
-                Some((
-                    Actor::new("Machine", m.to_string()),
-                    Mission::new("LocalLoad", "0"),
-                )),
-                format!("{tagp}convert"),
-                node_name(m),
-                format!("rank-{m}"),
-            ));
-            converted.push(convert);
-        }
-        let all_loaded = dag.barrier(&converted, "job/load/done");
-
-        // ---------------------------------------------- ProcessGraph (L1)
-        specs.push(OpSpec::new(
-            job_actor.clone(),
-            Mission::new("ProcessGraph", "0"),
-            Some(job_key.clone()),
-            "job/proc/",
-            &head,
-            "rank-0",
-        ));
-        let mut prev_barrier = all_loaded;
-        for it in &iterations {
-            let t = it.iteration;
-            let it_tag = format!("job/proc/it{t}/");
-            specs.push(
-                OpSpec::new(
-                    job_actor.clone(),
-                    Mission::new("Iteration", t.to_string()),
-                    Some(domain("ProcessGraph")),
-                    it_tag.clone(),
-                    &head,
-                    "rank-0",
-                )
-                .with_info(
-                    "ActiveVertices",
-                    InfoValue::Int((it.active_vertices as f64 * scale).round() as i64),
-                ),
-            );
-            let iter_parent = (job_actor.clone(), Mission::new("Iteration", t.to_string()));
-
-            // Multiply (SpMV) phase per machine.
-            let mut multiplies: Vec<ActivityId> = Vec::with_capacity(k as usize);
-            for m in 0..k {
-                let stats = &it.per_machine[m as usize];
-                let work = (stats.edges_processed as f64 * costs.compute_us_per_edge
-                    + stats.messages_sent as f64 * costs.serialize_us_per_message)
-                    * scale;
-                let mul = dag.add(
-                    ActivityKind::Compute {
-                        node: NodeId(m),
-                        work_core_us: work.max(300.0),
-                        parallelism: costs.worker_threads,
-                    },
-                    &[prev_barrier],
-                    format!("{it_tag}m{m}/multiply"),
-                );
-                specs.push(
-                    OpSpec::new(
-                        Actor::new("Machine", m.to_string()),
-                        Mission::new("Multiply", t.to_string()),
-                        Some(iter_parent.clone()),
-                        format!("{it_tag}m{m}/multiply"),
-                        node_name(m),
-                        format!("rank-{m}"),
-                    )
-                    .with_info(
-                        "EdgesProcessed",
-                        InfoValue::Int((stats.edges_processed as f64 * scale).round() as i64),
-                    ),
-                );
-                multiplies.push(mul);
-            }
-
-            // All-to-all exchange of cross-block messages.
-            let mut transfers: Vec<ActivityId> = Vec::new();
-            #[allow(clippy::needless_range_loop)] // machine ids index the matrix
-            for a in 0..k as usize {
-                for (b, &count) in it.exchange[a].iter().enumerate() {
-                    if a == b || count == 0 {
-                        continue;
-                    }
-                    transfers.push(dag.add(
-                        ActivityKind::Transfer {
-                            src: NodeId(a as u16),
-                            dst: NodeId(b as u16),
-                            bytes: count as f64 * costs.bytes_per_message * scale,
-                        },
-                        &[multiplies[a]],
-                        format!("{it_tag}ex/a{a}b{b}"),
-                    ));
-                }
-            }
-            let exchange_done = if transfers.is_empty() {
-                dag.barrier(&multiplies, format!("{it_tag}ex/none"))
-            } else {
-                let mut deps = transfers.clone();
-                deps.extend_from_slice(&multiplies);
-                dag.barrier(&deps, format!("{it_tag}ex/join"))
-            };
-            if !transfers.is_empty() {
-                specs.push(OpSpec::new(
-                    Actor::new("Master", "0"),
-                    Mission::new("Exchange", t.to_string()),
-                    Some(iter_parent.clone()),
-                    format!("{it_tag}ex/"),
-                    &head,
-                    "rank-0",
-                ));
-            }
-
-            // Apply phase per machine, then the allreduce barrier.
-            let mut applies: Vec<ActivityId> = Vec::with_capacity(k as usize);
-            for m in 0..k {
-                let stats = &it.per_machine[m as usize];
-                let apply = dag.add(
-                    ActivityKind::Compute {
-                        node: NodeId(m),
-                        work_core_us: (stats.applies as f64 * costs.compute_us_per_vertex * scale)
-                            .max(200.0),
-                        parallelism: costs.worker_threads,
-                    },
-                    &[exchange_done],
-                    format!("{it_tag}m{m}/apply"),
-                );
-                specs.push(OpSpec::new(
-                    Actor::new("Machine", m.to_string()),
-                    Mission::new("Apply", t.to_string()),
-                    Some(iter_parent.clone()),
-                    format!("{it_tag}m{m}/apply"),
-                    node_name(m),
-                    format!("rank-{m}"),
-                ));
-                applies.push(apply);
-            }
-            let join = dag.barrier(&applies, format!("{it_tag}barrier/join"));
-            prev_barrier = dag.add(
-                ActivityKind::Delay {
-                    duration_us: costs.barrier_us,
-                },
-                &[join],
-                format!("{it_tag}barrier/allreduce"),
-            );
-        }
-
-        // --------------------------------------------- OffloadGraph (L1)
-        specs.push(OpSpec::new(
-            job_actor.clone(),
-            Mission::new("OffloadGraph", "0"),
-            Some(job_key.clone()),
-            "job/offload/",
-            &head,
-            "rank-0",
-        ));
-        let mut offloads: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for m in 0..k {
-            let bytes = vert_sizes[m as usize] as f64 * costs.bytes_per_vertex_out * scale;
-            let write = dag.add(
-                ActivityKind::SharedRead {
-                    node: NodeId(m),
-                    bytes,
-                },
-                &[prev_barrier],
-                format!("job/offload/m{m}/write"),
-            );
-            specs.push(
-                OpSpec::new(
-                    Actor::new("Machine", m.to_string()),
-                    Mission::new("LocalOffload", "0"),
-                    Some(domain("OffloadGraph")),
-                    format!("job/offload/m{m}/"),
-                    node_name(m),
-                    format!("rank-{m}"),
-                )
-                .with_info("OutputBytes", InfoValue::Int(bytes.round() as i64)),
-            );
-            offloads.push(write);
-        }
-        let all_offloaded = dag.barrier(&offloads, "job/offload/done");
-
-        // -------------------------------------------------- Cleanup (L1)
-        specs.push(OpSpec::new(
-            job_actor.clone(),
-            Mission::new("Cleanup", "0"),
-            Some(job_key.clone()),
-            "job/cleanup/",
-            &head,
-            "mpiexec",
-        ));
-        dag.add(
-            ActivityKind::Delay {
-                duration_us: self.finalize_us,
-            },
-            &[all_offloaded],
-            "job/cleanup/finalize",
-        );
-        specs.push(OpSpec::new(
-            Actor::new("Master", "0"),
-            Mission::new("MpiFinalize", "0"),
-            Some(domain("Cleanup")),
-            "job/cleanup/finalize",
-            &head,
-            "mpiexec",
-        ));
-
-        // ------------------------------------------------------- Simulate
-        let sim = Simulation::new(cluster.clone()).run(&dag)?;
-        let events = emit_events(&specs, &dag, &sim);
-        let mut env_samples = trace_to_samples(&sim.trace);
+            // -------------------------------------------------- Cleanup (L1)
+            b.process("mpiexec");
+            b.child("Cleanup", 0, "cleanup/", |b| {
+                b.op(master(), "MpiFinalize", 0, "finalize", |b| {
+                    b.delay(self.finalize_us, &[offloaded], "")
+                })
+            });
+        });
         // Memory view: each rank's matrix block becomes resident over its
         // load+convert interval and lives until MPI finalize.
-        let release = sim
-            .span_of_tag(&dag, "job/cleanup/")
-            .map(|(s, _)| s.round() as u64)
-            .unwrap_or(sim.makespan_us.round() as u64);
-        let mut phases = Vec::with_capacity(k as usize);
-        for m in 0..k {
-            if let Some((ls, le)) = sim.span_of_tag(&dag, &format!("job/load/m{m}/")) {
-                phases.push(MemoryPhase {
-                    node: node_name(m),
-                    ramp_start_us: ls.round() as u64,
-                    ramp_end_us: le.round() as u64,
-                    hold_until_us: release,
-                    bytes: edge_sizes[m as usize] as f64 * scale * costs.bytes_per_edge_mem,
-                });
-            }
-        }
-        env_samples.extend(memory_samples(&phases, sim.makespan_us.round() as u64));
-        Ok(PlatformRun {
-            events,
-            env_samples,
-            output,
-            makespan_us: sim.makespan_us.round() as u64,
-            iterations: iterations.len() as u32,
+        b.finish(&FaultPlan::default(), output, iterations.len(), |b, sim| {
+            b.resident(sim, "job/", "load/m", &sizes.edges)
         })
     }
+}
+
+fn master() -> Actor {
+    Actor::new("Master", "0")
+}
+
+fn machine(m: u16) -> Actor {
+    Actor::new("Machine", m.to_string())
+}
+
+/// One SpMV iteration: the per-machine multiply, the all-to-all exchange
+/// of cross-block messages, the per-machine apply, and the MPI-allreduce
+/// barrier.
+fn iteration(b: &mut JobBuilder, it: &SpmvIteration, prev: ActivityId) -> ActivityId {
+    let cfg = b.cfg;
+    let (k, costs, scale) = (cfg.nodes, &cfg.costs, cfg.scale_factor);
+    let t = it.iteration;
+    b.child("Iteration", t, &format!("it{t}/"), |b| {
+        b.scaled("ActiveVertices", it.active_vertices);
+        // Multiply (SpMV) phase per machine.
+        let multiplies: Vec<ActivityId> = (0..k)
+            .map(|m| {
+                let stats = &it.per_machine[m as usize];
+                b.op(machine(m), "Multiply", t, &format!("m{m}/multiply"), |b| {
+                    b.scaled("EdgesProcessed", stats.edges_processed);
+                    let work_us = (stats.edges_processed as f64 * costs.compute_us_per_edge
+                        + stats.messages_sent as f64 * costs.serialize_us_per_message)
+                        * scale;
+                    b.compute(m, work_us.max(300.0), costs.worker_threads, &[prev], "")
+                })
+            })
+            .collect();
+        // All-to-all exchange of cross-block messages.
+        let remote = |a: usize, d: usize| a != d && it.exchange[a][d] > 0;
+        let any = (0..k as usize).any(|a| (0..k as usize).any(|d| remote(a, d)));
+        let exchanged = b.op_if(any, master(), "Exchange", t, "ex/", |b| {
+            let mut deps = Vec::new();
+            for (a, row) in it.exchange.iter().enumerate() {
+                for (d, &count) in row.iter().enumerate().filter(|&(d, _)| remote(a, d)) {
+                    let bytes = count as f64 * costs.bytes_per_message * scale;
+                    let leaf = format!("a{a}b{d}");
+                    deps.push(b.transfer(a as u16, d as u16, bytes, &[multiplies[a]], &leaf));
+                }
+            }
+            if deps.is_empty() {
+                return b.barrier(&multiplies, "none");
+            }
+            deps.extend_from_slice(&multiplies);
+            b.barrier(&deps, "join")
+        });
+        // Apply phase per machine, then the allreduce barrier.
+        let applies: Vec<ActivityId> = (0..k)
+            .map(|m| {
+                let stats = &it.per_machine[m as usize];
+                b.op(machine(m), "Apply", t, &format!("m{m}/apply"), |b| {
+                    let work_us = stats.applies as f64 * costs.compute_us_per_vertex * scale;
+                    b.compute(
+                        m,
+                        work_us.max(200.0),
+                        costs.worker_threads,
+                        &[exchanged],
+                        "",
+                    )
+                })
+            })
+            .collect();
+        let join = b.barrier(&applies, "barrier/join");
+        b.delay(costs.barrier_us, &[join], "barrier/allreduce")
+    })
 }
 
 #[cfg(test)]

@@ -23,19 +23,13 @@
 //! then re-runs the interrupted stage pair. This contrasts with Giraph's
 //! checkpoint/replay and PowerGraph's fail-stop restart.
 
-use gpsim_cluster::{
-    ActivityGraph, ActivityId, ActivityKind, ClusterSpec, FaultPlan, FileSystem, NodeCrash, NodeId,
-    SimError, Simulation,
-};
+use gpsim_cluster::{ActivityId, ClusterSpec, FaultPlan, FileSystem, SimError};
 use gpsim_graph::{EdgeCutPartition, Graph};
-use granula_model::{Actor, InfoValue, Mission};
+use granula_model::{Actor, InfoValue};
 
-use crate::common::{
-    memory_samples, trace_to_samples, Algorithm, AlgorithmOutput, JobConfig, MemoryPhase,
-    PlatformRun,
-};
-use crate::ops::{emit_events, OpSpec};
-use crate::pregel::{self, SuperstepStats};
+use crate::common::{Algorithm, AlgorithmOutput, JobConfig, PlatformRun};
+use crate::ops::{CrashSite, JobBuilder, Sizes};
+use crate::pregel::{self, SuperstepStats, WorkerSuperstep};
 
 /// GraphX-like platform: configuration knobs beyond the job's cost model.
 #[derive(Debug, Clone)]
@@ -161,871 +155,356 @@ impl GraphXPlatform {
             "cluster too small for {} executors",
             cfg.nodes
         );
-        let k = cfg.nodes;
-        let costs = &cfg.costs;
-        let scale = cfg.scale_factor;
-        let part = EdgeCutPartition::hash(g.num_vertices(), k);
+        let part = EdgeCutPartition::hash(g.num_vertices(), cfg.nodes);
         let (output, iterations) = {
             let _span = granula_trace::span!("platform", "graphx.vertex_program {}", cfg.job_id);
             run_program(g, &part, cfg.algorithm, self.max_iterations)
         };
-
-        // Per-executor data sizes (logical counts; scaled at use sites).
-        let mut verts = vec![0u64; k as usize];
-        let mut edges = vec![0u64; k as usize];
-        for v in 0..g.num_vertices() {
-            let w = part.owner_of(v) as usize;
-            verts[w] += 1;
-            edges[w] += g.out_degree(v) as u64;
-        }
-        let input_bytes: Vec<f64> = (0..k as usize)
-            .map(|w| (verts[w] as f64 * 10.0 + edges[w] as f64 * costs.bytes_per_edge_in) * scale)
-            .collect();
-
-        let crash = plan
-            .crashes
+        let sizes = Sizes::new(g, cfg, |v| part.owner_of(v));
+        let layout = Layout {
+            p: self,
+            iterations: &iterations,
+            sizes: &sizes,
+        };
+        let units: Vec<String> = iterations
             .iter()
-            .min_by(|a, b| a.at_us.total_cmp(&b.at_us))
-            .cloned()
-            .filter(|_| !iterations.is_empty());
-
-        let Some(crash) = crash else {
-            // Healthy (possibly degraded) layout: no recovery structure.
-            let mut b = Build::new(
-                self,
-                cfg,
-                cluster,
-                &iterations,
-                &verts,
-                &edges,
-                &input_bytes,
-            );
-            {
-                let _span = granula_trace::span!("platform", "graphx.build_dag {}", cfg.job_id);
-                let started = b.startup();
-                let mut prev = b.load(started);
-                b.process_graph();
-                for ii in 0..iterations.len() {
-                    prev = b.iteration(ii, prev, "job/proc/", true);
-                }
-                let offloaded = b.offload(prev);
-                b.cleanup(offloaded);
-            }
-            return b.finish(plan, output);
-        };
-
-        // Phase 1: probe run — the same job under the plan's slowdowns only
-        // — locates the crash inside the stage schedule.
-        let probe_span = granula_trace::span!("platform", "graphx.probe {}", cfg.job_id);
-        let slow_plan = FaultPlan {
-            crashes: Vec::new(),
-            slowdowns: plan.slowdowns.clone(),
-        };
-        let mut probe = Build::new(
-            self,
-            cfg,
-            cluster,
-            &iterations,
-            &verts,
-            &edges,
-            &input_bytes,
-        );
-        let started = probe.startup();
-        let mut prev = probe.load(started);
-        probe.process_graph();
-        for ii in 0..iterations.len() {
-            prev = probe.iteration(ii, prev, "job/proc/", true);
-        }
-        let offloaded = probe.offload(prev);
-        probe.cleanup(offloaded);
-        let probe_sim = Simulation::new(cluster.clone()).run_with_faults(&probe.dag, &slow_plan)?;
-
-        let (proc_start, proc_end) = probe_sim
-            .span_of_tag(&probe.dag, "job/proc/")
-            .expect("jobs run at least one iteration");
-        let t_clamped = crash.at_us.clamp(proc_start + 1.0, proc_end - 1.0);
-        let mut i_idx = iterations.len() - 1;
-        for (ii, it) in iterations.iter().enumerate() {
-            let (_, end) = probe_sim
-                .span_of_tag(&probe.dag, &format!("job/proc/it{}/", it.superstep))
-                .expect("iteration was simulated");
-            if t_clamped < end {
-                i_idx = ii;
-                break;
-            }
-        }
-        let i_star = iterations[i_idx].superstep;
-        let (it_start, it_end) = probe_sim
-            .span_of_tag(&probe.dag, &format!("job/proc/it{i_star}/"))
-            .expect("iteration was simulated");
-        let t_eff = t_clamped.clamp(it_start + 1.0, (it_end - 1.0).max(it_start + 1.0));
-        // Only the interrupted stage pair's partial work is wasted: the
-        // healthy executors keep their cached partitions and shuffle files,
-        // and the lost partition is rebuilt from lineage, not re-run
-        // globally.
-        let wasted_us = t_eff - it_start;
-        drop(probe_span);
-
-        // Phase 2: the recovery layout. Prefix (startup, load, iterations
-        // before i*) is identical to the probe; the interrupted iteration
-        // becomes a doomed attempt killed by the injected crash; detection,
-        // rescheduling and lineage recomputation follow under
-        // `job/proc/recovery/`.
-        let mut b = Build::new(
-            self,
-            cfg,
-            cluster,
-            &iterations,
-            &verts,
-            &edges,
-            &input_bytes,
-        );
-        let recovery_span =
-            granula_trace::span!("platform", "graphx.recovery.build {}", cfg.job_id);
-        let started = b.startup();
-        let mut prev = b.load(started);
-        b.process_graph();
-        for ii in 0..i_idx {
-            prev = b.iteration(ii, prev, "job/proc/", true);
-        }
-        b.doomed_attempt(i_idx, prev);
-
-        let driver = b.driver_node.clone();
-        let lost = crash.node;
-        let lw = lost.0 as usize;
-        let recover_actor = Actor::new("Driver", "0");
-        let recover_key = (recover_actor.clone(), Mission::new("Recover", "0"));
-        let proc_domain = b.domain("ProcessGraph");
-        b.specs.push(
-            OpSpec::new(
-                recover_actor.clone(),
-                Mission::new("Recover", "0"),
-                Some(proc_domain),
-                "job/proc/recovery/",
-                &driver,
-                "driver",
-            )
-            .with_info(
-                "FailedNode",
-                InfoValue::Text(cluster.node(lost).name.clone()),
-            )
-            .with_info("WastedUs", InfoValue::Int(wasted_us.round() as i64)),
-        );
-        // The crash anchor pins failure detection to the injected instant.
-        let anchor = b.dag.add(
-            ActivityKind::Delay { duration_us: t_eff },
-            &[],
-            "job/meta/t-crash",
-        );
-        let detect = b.dag.add(
-            ActivityKind::Delay {
-                duration_us: self.failure_detect_us,
-            },
-            &[anchor],
-            "job/proc/recovery/detect",
-        );
-        b.specs.push(OpSpec::new(
-            recover_actor.clone(),
-            Mission::new("DetectFailure", "0"),
-            Some(recover_key.clone()),
-            "job/proc/recovery/detect",
-            &driver,
-            "driver",
-        ));
-        // The driver relaunches the executor and reschedules the lost
-        // tasks.
-        let relaunch = b.dag.add(
-            ActivityKind::Delay {
-                duration_us: self.executor_launch_us,
-            },
-            &[detect],
-            "job/proc/recovery/resched/exec",
-        );
-        let resched = b.dag.add(
-            ActivityKind::Delay {
-                duration_us: self.task_sched_us * 2.0,
-            },
-            &[relaunch],
-            "job/proc/recovery/resched/plan",
-        );
-        b.specs.push(OpSpec::new(
-            recover_actor.clone(),
-            Mission::new("Reschedule", "0"),
-            Some(recover_key.clone()),
-            "job/proc/recovery/resched/",
-            &driver,
-            "driver",
-        ));
-        // Lineage recomputation of the doomed cut only: the lost
-        // partition's input split is re-read (the lineage root), then its
-        // stage chain re-executes, fed by the shuffle outputs surviving on
-        // the healthy executors.
-        let mut prev_r = resched;
-        for (ii, it) in iterations.iter().enumerate().take(i_idx) {
-            let t = it.superstep;
-            let rtag = format!("job/proc/recovery/recompute/it{t}/");
-            let mut deps = vec![prev_r];
-            if ii == 0 {
-                let reread = self.fs.read(
-                    cluster,
-                    &mut b.dag,
-                    lost,
-                    input_bytes[lw],
-                    &[prev_r],
-                    &format!("{rtag}split/"),
-                );
-                deps.push(b.dag.add(
-                    ActivityKind::Compute {
-                        node: lost,
-                        work_core_us: input_bytes[lw] * costs.parse_cpu_us_per_byte
-                            + edges[lw] as f64 * scale * costs.build_cpu_us_per_edge,
-                        parallelism: costs.worker_threads,
-                    },
-                    &[reread],
-                    format!("{rtag}rebuild"),
-                ));
-            } else {
-                for (a, row) in iterations[ii - 1].remote_messages.iter().enumerate() {
-                    if a == lw || row[lw] == 0 {
-                        continue;
-                    }
-                    deps.push(b.dag.add(
-                        ActivityKind::Transfer {
-                            src: NodeId(a as u16),
-                            dst: lost,
-                            bytes: row[lw] as f64 * costs.bytes_per_message * scale,
-                        },
-                        &[prev_r],
-                        format!("{rtag}fetch/a{a}"),
-                    ));
-                }
-            }
-            let stats = &it.per_worker[lw];
-            let work = (stats.edges_scanned as f64 * costs.compute_us_per_edge
-                + stats.active_vertices as f64 * costs.compute_us_per_vertex
-                + (stats.messages_sent + stats.messages_received) as f64
-                    * costs.serialize_us_per_message)
-                * scale;
-            prev_r = b.dag.add(
-                ActivityKind::Compute {
-                    node: lost,
-                    work_core_us: work.max(400.0),
-                    parallelism: costs.worker_threads,
-                },
-                &deps,
-                format!("{rtag}tasks"),
-            );
-            b.specs.push(OpSpec::new(
-                recover_actor.clone(),
-                Mission::new("Recompute", t.to_string()),
-                Some(recover_key.clone()),
-                rtag,
-                &driver,
-                "driver",
-            ));
-        }
-        // The interrupted stage pair never committed: it re-runs in full,
-        // covered by the final Recompute op.
-        prev = b.iteration(i_idx, prev_r, "job/proc/recovery/recompute/", false);
-        b.specs.push(OpSpec::new(
-            recover_actor.clone(),
-            Mission::new("Recompute", i_star.to_string()),
-            Some(recover_key.clone()),
-            format!("job/proc/recovery/recompute/it{i_star}/"),
-            &driver,
-            "driver",
-        ));
-        for ii in i_idx + 1..iterations.len() {
-            prev = b.iteration(ii, prev, "job/proc/", true);
-        }
-        let offloaded = b.offload(prev);
-        b.cleanup(offloaded);
-        drop(recovery_span);
-
-        let restart_after = crash.restart_after_us.unwrap_or(self.failure_detect_us);
-        let exec_plan = FaultPlan {
-            crashes: vec![NodeCrash {
-                node: crash.node,
-                at_us: t_eff,
-                restart_after_us: Some(restart_after),
-            }],
-            slowdowns: plan.slowdowns.clone(),
-        };
-        b.finish(&exec_plan, output)
+            .map(|it| format!("job/proc/it{}/", it.superstep))
+            .collect();
+        let (b, exec) = JobBuilder::new("graphx", cluster, cfg, ("Executor", "executor"))
+            .single_failure(plan, self.failure_detect_us, &units, |b, crash| {
+                layout.job(b, crash)
+            })?;
+        b.finish(&exec, output, iterations.len(), |b, sim| {
+            b.resident(sim, "job/", "load/w", &sizes.edges)
+        })
     }
 }
 
-/// Incremental DAG + spec builder shared by the healthy and the
-/// fault-recovery job layouts.
-struct Build<'a> {
+fn driver() -> Actor {
+    Actor::new("Driver", "0")
+}
+
+fn executor(w: u16) -> Actor {
+    Actor::new("Executor", w.to_string())
+}
+
+/// CPU work of one executor's map-side tasks (join + message generation),
+/// core-µs.
+fn map_work(cfg: &JobConfig, stats: &WorkerSuperstep) -> f64 {
+    (stats.edges_scanned as f64 * cfg.costs.compute_us_per_edge
+        + stats.messages_sent as f64 * cfg.costs.serialize_us_per_message)
+        * cfg.scale_factor
+}
+
+/// The GraphX job layout, healthy or recovering from one crash.
+struct Layout<'a> {
     p: &'a GraphXPlatform,
-    cfg: &'a JobConfig,
-    cluster: &'a ClusterSpec,
     iterations: &'a [SuperstepStats],
-    verts: &'a [u64],
-    edges: &'a [u64],
-    input_bytes: &'a [f64],
-    dag: ActivityGraph,
-    specs: Vec<OpSpec>,
-    job_actor: Actor,
-    job_key: (Actor, Mission),
-    driver_node: String,
+    sizes: &'a Sizes,
 }
 
-impl<'a> Build<'a> {
-    fn new(
-        p: &'a GraphXPlatform,
-        cfg: &'a JobConfig,
-        cluster: &'a ClusterSpec,
-        iterations: &'a [SuperstepStats],
-        verts: &'a [u64],
-        edges: &'a [u64],
-        input_bytes: &'a [f64],
-    ) -> Self {
-        let job_actor = Actor::new("Job", "0");
-        let job_mission = Mission::new("GraphXJob", "0");
-        let job_key = (job_actor.clone(), job_mission.clone());
-        let driver_node = cluster.node(NodeId(0)).name.clone();
-        let specs: Vec<OpSpec> = vec![OpSpec::new(
-            job_actor.clone(),
-            job_mission,
-            None,
-            "job/",
-            &driver_node,
-            "driver",
-        )
-        .with_info("Platform", InfoValue::Text("GraphX".into()))
-        .with_info("Algorithm", InfoValue::Text(cfg.algorithm.name().into()))
-        .with_info("Dataset", InfoValue::Text(cfg.dataset.clone()))
-        .with_info("Executors", InfoValue::Int(cfg.nodes as i64))];
-        Build {
-            p,
-            cfg,
-            cluster,
-            iterations,
-            verts,
-            edges,
-            input_bytes,
-            dag: ActivityGraph::new(),
-            specs,
-            job_actor,
-            job_key,
-            driver_node,
-        }
-    }
-
-    fn exec_node(&self, w: u16) -> String {
-        self.cluster.node(NodeId(w)).name.clone()
-    }
-
-    fn domain(&self, mission: &str) -> (Actor, Mission) {
-        (self.job_actor.clone(), Mission::new(mission, "0"))
+impl Layout<'_> {
+    fn job(&self, b: &mut JobBuilder, crash: Option<&CrashSite>) {
+        let (p, cfg) = (self.p, b.cfg);
+        b.process("driver");
+        b.op(Actor::new("Job", "0"), "GraphXJob", 0, "job/", |b| {
+            b.info("Platform", InfoValue::Text("GraphX".into()));
+            b.info("Algorithm", InfoValue::Text(cfg.algorithm.name().into()));
+            b.info("Dataset", InfoValue::Text(cfg.dataset.clone()));
+            b.info("Executors", InfoValue::Int(cfg.nodes as i64));
+            let started = b.child("Startup", 0, "startup/", |b| self.startup(b));
+            let loaded = b.child("LoadGraph", 0, "load/", |b| self.load(b, started));
+            let processed = b.child("ProcessGraph", 0, "proc/", |b| {
+                (0..self.iterations.len()).fold(loaded, |prev, ii| match crash {
+                    Some(site) if site.unit == ii => self.recover(b, site, prev),
+                    _ => self.iteration(b, ii, prev),
+                })
+            });
+            let offloaded = b.child("OffloadGraph", 0, "offload/", |b| {
+                self.offload(b, processed)
+            });
+            b.child("Cleanup", 0, "cleanup/", |b| {
+                b.op(driver(), "StopContext", 0, "stop", |b| {
+                    b.delay(p.driver_startup_us * 0.4, &[offloaded], "")
+                })
+            });
+        });
     }
 
     // -------------------------------------------------- Startup (L1)
-    fn startup(&mut self) -> ActivityId {
-        let k = self.cfg.nodes;
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
-            Mission::new("Startup", "0"),
-            Some(self.job_key.clone()),
-            "job/startup/",
-            &self.driver_node,
-            "driver",
-        ));
-        let driver = self.dag.add(
-            ActivityKind::Delay {
-                duration_us: self.p.driver_startup_us,
-            },
-            &[],
-            "job/startup/driver",
-        );
-        self.specs.push(OpSpec::new(
-            Actor::new("Driver", "0"),
-            Mission::new("LaunchDriver", "0"),
-            Some(self.domain("Startup")),
-            "job/startup/driver",
-            &self.driver_node,
-            "driver",
-        ));
-        self.specs.push(OpSpec::new(
-            Actor::new("Driver", "0"),
-            Mission::new("LaunchExecutors", "0"),
-            Some(self.domain("Startup")),
-            "job/startup/exec/",
-            &self.driver_node,
-            "driver",
-        ));
-        let mut ready: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for w in 0..k {
-            let launch = self.dag.add(
-                ActivityKind::Delay {
-                    duration_us: self.p.executor_launch_us * (1.0 + 0.08 * w as f64),
-                },
-                &[driver],
-                format!("job/startup/exec/w{w}"),
-            );
-            self.specs.push(OpSpec::new(
-                Actor::new("Executor", w.to_string()),
-                Mission::new("LocalStartup", "0"),
-                Some((
-                    Actor::new("Driver", "0"),
-                    Mission::new("LaunchExecutors", "0"),
-                )),
-                format!("job/startup/exec/w{w}"),
-                self.exec_node(w),
-                format!("executor-{w}"),
-            ));
-            ready.push(launch);
-        }
-        self.dag.barrier(&ready, "job/startup/all-ready")
+    fn startup(&self, b: &mut JobBuilder) -> ActivityId {
+        let p = self.p;
+        let launched = b.op(driver(), "LaunchDriver", 0, "driver", |b| {
+            b.delay(p.driver_startup_us, &[], "")
+        });
+        let ready: Vec<ActivityId> = b.op(driver(), "LaunchExecutors", 0, "exec/", |b| {
+            (0..b.cfg.nodes)
+                .map(|w| {
+                    b.op(executor(w), "LocalStartup", 0, &format!("w{w}"), |b| {
+                        let launch_us = p.executor_launch_us * (1.0 + 0.08 * w as f64);
+                        b.delay(launch_us, &[launched], "")
+                    })
+                })
+                .collect()
+        });
+        b.barrier(&ready, "all-ready")
     }
 
     // ------------------------------------------------ LoadGraph (L1)
-    fn load(&mut self, started: ActivityId) -> ActivityId {
-        let k = self.cfg.nodes;
-        let costs = &self.cfg.costs;
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
-            Mission::new("LoadGraph", "0"),
-            Some(self.job_key.clone()),
-            "job/load/",
-            &self.driver_node,
-            "driver",
-        ));
+    fn load(&self, b: &mut JobBuilder, started: ActivityId) -> ActivityId {
+        let cfg = b.cfg;
+        let (k, costs) = (cfg.nodes, &cfg.costs);
+        let input = &self.sizes.input_bytes;
         // Each executor reads and parses its input split...
-        let mut parsed: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for w in 0..k {
-            let node = NodeId(w);
-            let tagp = format!("job/load/w{w}/");
-            self.specs.push(
-                OpSpec::new(
-                    Actor::new("Executor", w.to_string()),
-                    Mission::new("LocalLoad", "0"),
-                    Some(self.domain("LoadGraph")),
-                    tagp.clone(),
-                    self.exec_node(w),
-                    format!("executor-{w}"),
-                )
-                .with_info(
-                    "InputBytes",
-                    InfoValue::Int(self.input_bytes[w as usize].round() as i64),
-                ),
-            );
-            let read = self.p.fs.read(
-                self.cluster,
-                &mut self.dag,
-                node,
-                self.input_bytes[w as usize],
-                &[started],
-                &format!("{tagp}hdfs/"),
-            );
-            self.specs.push(OpSpec::new(
-                Actor::new("Executor", w.to_string()),
-                Mission::new("ReadPartition", "0"),
-                Some((
-                    Actor::new("Executor", w.to_string()),
-                    Mission::new("LocalLoad", "0"),
-                )),
-                format!("{tagp}hdfs/"),
-                self.exec_node(w),
-                format!("executor-{w}"),
-            ));
-            parsed.push(self.dag.add(
-                ActivityKind::Compute {
-                    node,
-                    work_core_us: self.input_bytes[w as usize] * costs.parse_cpu_us_per_byte,
-                    parallelism: costs.worker_threads,
-                },
-                &[read],
-                format!("{tagp}parse"),
-            ));
-        }
+        let parsed: Vec<ActivityId> = (0..k)
+            .map(|w| {
+                b.op(executor(w), "LocalLoad", 0, &format!("w{w}/"), |b| {
+                    b.rounded("InputBytes", input[w as usize]);
+                    let read = b.child("ReadPartition", 0, "hdfs/", |b| {
+                        b.read(&self.p.fs, w, input[w as usize], &[started], "")
+                    });
+                    let parse_us = input[w as usize] * costs.parse_cpu_us_per_byte;
+                    b.compute(w, parse_us, costs.worker_threads, &[read], "parse")
+                })
+            })
+            .collect();
         // ...then `partitionBy` shuffles the edge RDD into its hash layout:
-        // roughly (k-1)/k of every split crosses the network.
+        // roughly (k-1)/k of every split crosses the network...
         let mut shuffled: Vec<Vec<ActivityId>> = vec![Vec::new(); k as usize];
-        for a in 0..k {
-            for bdst in 0..k {
-                if a == bdst {
-                    continue;
+        b.op(driver(), "PartitionBy", 0, "shuffle/", |b| {
+            for a in 0..k {
+                for d in (0..k).filter(|&d| d != a) {
+                    let bytes = input[a as usize] / k as f64;
+                    let leaf = format!("a{a}b{d}");
+                    shuffled[d as usize].push(b.transfer(
+                        a,
+                        d,
+                        bytes,
+                        &[parsed[a as usize]],
+                        &leaf,
+                    ));
                 }
-                shuffled[bdst as usize].push(self.dag.add(
-                    ActivityKind::Transfer {
-                        src: NodeId(a),
-                        dst: NodeId(bdst),
-                        bytes: self.input_bytes[a as usize] / k as f64,
-                    },
-                    &[parsed[a as usize]],
-                    format!("job/load/shuffle/a{a}b{bdst}"),
-                ));
             }
-        }
-        self.specs.push(OpSpec::new(
-            Actor::new("Driver", "0"),
-            Mission::new("PartitionBy", "0"),
-            Some(self.domain("LoadGraph")),
-            "job/load/shuffle/",
-            &self.driver_node,
-            "driver",
-        ));
+        });
         // ...and each executor builds its edge partition.
-        let mut built: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for w in 0..k {
-            let scale = self.cfg.scale_factor;
-            let mut deps = shuffled[w as usize].clone();
-            deps.push(parsed[w as usize]);
-            let build = self.dag.add(
-                ActivityKind::Compute {
-                    node: NodeId(w),
-                    work_core_us: self.edges[w as usize] as f64
-                        * scale
-                        * costs.build_cpu_us_per_edge,
-                    parallelism: costs.worker_threads,
-                },
-                &deps,
-                format!("job/load/w{w}/build"),
-            );
-            self.specs.push(OpSpec::new(
-                Actor::new("Executor", w.to_string()),
-                Mission::new("BuildPartition", "0"),
-                Some((
-                    Actor::new("Executor", w.to_string()),
-                    Mission::new("LocalLoad", "0"),
-                )),
-                format!("job/load/w{w}/build"),
-                self.exec_node(w),
-                format!("executor-{w}"),
-            ));
-            built.push(build);
-        }
-        self.dag.barrier(&built, "job/load/all-loaded")
+        let built: Vec<ActivityId> = (0..k)
+            .map(|w| {
+                b.op_if(false, executor(w), "LocalLoad", 0, &format!("w{w}/"), |b| {
+                    b.child("BuildPartition", 0, "build", |b| {
+                        let mut deps = shuffled[w as usize].clone();
+                        deps.push(parsed[w as usize]);
+                        let build_us = self.sizes.edges[w as usize] as f64
+                            * cfg.scale_factor
+                            * costs.build_cpu_us_per_edge;
+                        b.compute(w, build_us, costs.worker_threads, &deps, "")
+                    })
+                })
+            })
+            .collect();
+        b.barrier(&built, "all-loaded")
     }
 
     // ---------------------------------------------- ProcessGraph (L1)
-    fn process_graph(&mut self) {
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
-            Mission::new("ProcessGraph", "0"),
-            Some(self.job_key.clone()),
-            "job/proc/",
-            &self.driver_node,
-            "driver",
-        ));
+    fn iteration(&self, b: &mut JobBuilder, ii: usize, prev: ActivityId) -> ActivityId {
+        let it = &self.iterations[ii];
+        let seg = format!("it{}/", it.superstep);
+        b.op(
+            Actor::new("Job", "0"),
+            "Iteration",
+            it.superstep,
+            &seg,
+            |b| {
+                b.scaled("ActiveVertices", it.total_active());
+                b.scaled("ShuffleRecords", it.total_messages());
+                self.iteration_body(b, ii, prev)
+            },
+        )
     }
 
     /// One Pregel iteration lowered to dataflow: driver scheduling, the
     /// map-side stage (join + message generation), the all-to-all shuffle,
-    /// and the reduce-side stage (message aggregation + vertex update).
-    /// `prefix` places the activities; `with_specs` controls whether the
-    /// iteration emits its own Granula operations (recomputations are
-    /// covered by a single `Recompute` op pushed by the caller).
-    fn iteration(
-        &mut self,
+    /// and the reduce-side stage (message aggregation + vertex update),
+    /// under the current scope (an `Iteration` op, or a quiet scope under a
+    /// `Recompute` op).
+    fn iteration_body(
+        &self,
+        b: &mut JobBuilder,
         ii: usize,
         prev_barrier: ActivityId,
-        prefix: &str,
-        with_specs: bool,
     ) -> ActivityId {
-        let k = self.cfg.nodes;
-        let costs = &self.cfg.costs;
-        let scale = self.cfg.scale_factor;
+        let cfg = b.cfg;
+        let (k, costs, scale) = (cfg.nodes, &cfg.costs, cfg.scale_factor);
         let it = &self.iterations[ii];
         let t = it.superstep;
-        let it_tag = format!("{prefix}it{t}/");
-        if with_specs {
-            self.specs.push(
-                OpSpec::new(
-                    self.job_actor.clone(),
-                    Mission::new("Iteration", t.to_string()),
-                    Some(self.domain("ProcessGraph")),
-                    it_tag.clone(),
-                    &self.driver_node,
-                    "driver",
-                )
-                .with_info(
-                    "ActiveVertices",
-                    InfoValue::Int((it.total_active() as f64 * scale).round() as i64),
-                )
-                .with_info(
-                    "ShuffleRecords",
-                    InfoValue::Int((it.total_messages() as f64 * scale).round() as i64),
-                ),
-            );
-        }
-        let iter_parent = (
-            self.job_actor.clone(),
-            Mission::new("Iteration", t.to_string()),
-        );
         // The driver plans the stage pair's tasks before executors start.
-        let sched = self.dag.add(
-            ActivityKind::Delay {
-                duration_us: self.p.task_sched_us,
-            },
-            &[prev_barrier],
-            format!("{it_tag}sched"),
-        );
-        if with_specs {
-            self.specs.push(OpSpec::new(
-                Actor::new("Driver", "0"),
-                Mission::new("ScheduleTasks", t.to_string()),
-                Some(iter_parent.clone()),
-                format!("{it_tag}sched"),
-                &self.driver_node,
-                "driver",
-            ));
-        }
+        let sched = b.op(driver(), "ScheduleTasks", t, "sched", |b| {
+            b.delay(self.p.task_sched_us, &[prev_barrier], "")
+        });
         // Map-side stage: join vertex attributes onto edges and emit
         // messages (shuffle write).
-        let mut maps: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for w in 0..k {
-            let stats = &it.per_worker[w as usize];
-            let work = (stats.edges_scanned as f64 * costs.compute_us_per_edge
-                + stats.messages_sent as f64 * costs.serialize_us_per_message)
-                * scale;
-            let map = self.dag.add(
-                ActivityKind::Compute {
-                    node: NodeId(w),
-                    work_core_us: work.max(500.0),
-                    parallelism: costs.worker_threads,
-                },
-                &[sched],
-                format!("{it_tag}w{w}/map"),
-            );
-            if with_specs {
-                self.specs.push(
-                    OpSpec::new(
-                        Actor::new("Executor", w.to_string()),
-                        Mission::new("MapStage", t.to_string()),
-                        Some(iter_parent.clone()),
-                        format!("{it_tag}w{w}/map"),
-                        self.exec_node(w),
-                        format!("executor-{w}"),
-                    )
-                    .with_info(
-                        "EdgesScanned",
-                        InfoValue::Int((stats.edges_scanned as f64 * scale).round() as i64),
-                    ),
-                );
-            }
-            maps.push(map);
-        }
+        let maps: Vec<ActivityId> = (0..k)
+            .map(|w| {
+                let stats = &it.per_worker[w as usize];
+                b.op(executor(w), "MapStage", t, &format!("w{w}/map"), |b| {
+                    b.scaled("EdgesScanned", stats.edges_scanned);
+                    let work_us = map_work(cfg, stats).max(500.0);
+                    b.compute(w, work_us, costs.worker_threads, &[sched], "")
+                })
+            })
+            .collect();
         // Shuffle: cross-executor message blocks.
+        let blocks: Vec<(usize, usize, u64)> = it
+            .remote_messages
+            .iter()
+            .enumerate()
+            .flat_map(|(a, row)| row.iter().enumerate().map(move |(d, &count)| (a, d, count)))
+            .filter(|&(a, d, count)| a != d && count > 0)
+            .collect();
         let mut fetches: Vec<Vec<ActivityId>> = vec![Vec::new(); k as usize];
-        let mut any_shuffle = false;
-        for (a, row) in it.remote_messages.iter().enumerate() {
-            for (bdst, &count) in row.iter().enumerate() {
-                if a == bdst || count == 0 {
-                    continue;
+        b.op_if(
+            !blocks.is_empty(),
+            driver(),
+            "Shuffle",
+            t,
+            "shuffle/",
+            |b| {
+                for &(a, d, count) in &blocks {
+                    let bytes = count as f64 * costs.bytes_per_message * scale;
+                    let leaf = format!("a{a}b{d}");
+                    fetches[d].push(b.transfer(a as u16, d as u16, bytes, &[maps[a]], &leaf));
                 }
-                any_shuffle = true;
-                fetches[bdst].push(self.dag.add(
-                    ActivityKind::Transfer {
-                        src: NodeId(a as u16),
-                        dst: NodeId(bdst as u16),
-                        bytes: count as f64 * costs.bytes_per_message * scale,
-                    },
-                    &[maps[a]],
-                    format!("{it_tag}shuffle/a{a}b{bdst}"),
-                ));
-            }
-        }
-        if with_specs && any_shuffle {
-            self.specs.push(OpSpec::new(
-                Actor::new("Driver", "0"),
-                Mission::new("Shuffle", t.to_string()),
-                Some(iter_parent.clone()),
-                format!("{it_tag}shuffle/"),
-                &self.driver_node,
-                "driver",
-            ));
-        }
+            },
+        );
         // Reduce-side stage: aggregate fetched messages, update vertices.
-        let mut reduces: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for w in 0..k {
-            let stats = &it.per_worker[w as usize];
-            let work = (stats.active_vertices as f64 * costs.compute_us_per_vertex
-                + stats.messages_received as f64 * costs.serialize_us_per_message)
-                * scale;
-            let mut deps = fetches[w as usize].clone();
-            deps.push(maps[w as usize]);
-            let reduce = self.dag.add(
-                ActivityKind::Compute {
-                    node: NodeId(w),
-                    work_core_us: work.max(500.0),
-                    parallelism: costs.worker_threads,
-                },
-                &deps,
-                format!("{it_tag}w{w}/reduce"),
-            );
-            if with_specs {
-                self.specs.push(
-                    OpSpec::new(
-                        Actor::new("Executor", w.to_string()),
-                        Mission::new("ReduceStage", t.to_string()),
-                        Some(iter_parent.clone()),
-                        format!("{it_tag}w{w}/reduce"),
-                        self.exec_node(w),
-                        format!("executor-{w}"),
-                    )
-                    .with_info(
-                        "ActiveVertices",
-                        InfoValue::Int((stats.active_vertices as f64 * scale).round() as i64),
-                    ),
-                );
-            }
-            reduces.push(reduce);
-        }
-        self.dag.barrier(&reduces, format!("{it_tag}done"))
+        let reduces: Vec<ActivityId> = (0..k)
+            .map(|w| {
+                let stats = &it.per_worker[w as usize];
+                b.op(
+                    executor(w),
+                    "ReduceStage",
+                    t,
+                    &format!("w{w}/reduce"),
+                    |b| {
+                        b.scaled("ActiveVertices", stats.active_vertices);
+                        let work_us = ((stats.active_vertices as f64
+                            * costs.compute_us_per_vertex
+                            + stats.messages_received as f64 * costs.serialize_us_per_message)
+                            * scale)
+                            .max(500.0);
+                        let mut deps = fetches[w as usize].clone();
+                        deps.push(maps[w as usize]);
+                        b.compute(w, work_us, costs.worker_threads, &deps, "")
+                    },
+                )
+            })
+            .collect();
+        b.barrier(&reduces, "done")
     }
 
-    /// The attempt at iteration `ii` that the crash interrupts: scheduling
-    /// and map-side tasks, no shuffle commit — the failure means the stage
-    /// pair never completes, and recovery (not this attempt) gates further
-    /// work.
-    fn doomed_attempt(&mut self, ii: usize, prev_barrier: ActivityId) {
-        let k = self.cfg.nodes;
-        let costs = &self.cfg.costs;
-        let scale = self.cfg.scale_factor;
+    /// Lineage recovery from the crash in iteration `site.unit`. The
+    /// attempt the crash interrupts gets scheduling and map-side tasks but
+    /// no shuffle commit — it never completes. The driver detects the lost
+    /// executor, relaunches it and reschedules its tasks; the doomed
+    /// lineage cut (the lost partition's input split and stage chain, fed
+    /// by the shuffle outputs surviving on its peers) is recomputed, and
+    /// the interrupted stage pair re-runs in full.
+    fn recover(&self, b: &mut JobBuilder, site: &CrashSite, prev: ActivityId) -> ActivityId {
+        let (p, cfg, ii) = (self.p, b.cfg, site.unit);
+        let (costs, scale) = (&cfg.costs, cfg.scale_factor);
         let it = &self.iterations[ii];
-        let t = it.superstep;
-        let tag = format!("job/proc/it{t}/");
-        self.specs.push(OpSpec::new(
-            Actor::new("Driver", "0"),
-            Mission::new("FailedStage", t.to_string()),
-            Some(self.domain("ProcessGraph")),
-            tag.clone(),
-            &self.driver_node,
-            "driver",
-        ));
-        let sched = self.dag.add(
-            ActivityKind::Delay {
-                duration_us: self.p.task_sched_us,
+        b.op(
+            driver(),
+            "FailedStage",
+            it.superstep,
+            &format!("it{}/", it.superstep),
+            |b| {
+                let sched = b.delay(p.task_sched_us, &[prev], "try/sched");
+                for (w, stats) in it.per_worker.iter().enumerate() {
+                    let work_us = map_work(cfg, stats).max(500.0);
+                    let leaf = format!("try/w{w}/map");
+                    b.compute(w as u16, work_us, costs.worker_threads, &[sched], &leaf);
+                }
             },
-            &[prev_barrier],
-            format!("{tag}try/sched"),
         );
-        for w in 0..k {
-            let stats = &it.per_worker[w as usize];
-            let work = (stats.edges_scanned as f64 * costs.compute_us_per_edge
-                + stats.messages_sent as f64 * costs.serialize_us_per_message)
-                * scale;
-            self.dag.add(
-                ActivityKind::Compute {
-                    node: NodeId(w),
-                    work_core_us: work.max(500.0),
-                    parallelism: costs.worker_threads,
-                },
-                &[sched],
-                format!("{tag}try/w{w}/map"),
-            );
-        }
+        // Only the interrupted stage pair's partial work is wasted: the
+        // healthy executors keep their cached partitions and shuffle files,
+        // and the lost partition is rebuilt from lineage, not re-run
+        // globally.
+        let wasted_us = site.failure.at_us - site.unit_starts[ii];
+        let lost = site.failure.node.0;
+        let lw = lost as usize;
+        b.recover(
+            driver(),
+            "recovery/",
+            &site.failure,
+            wasted_us,
+            |b, detect| {
+                let resched = b.child("Reschedule", 0, "resched/", |b| {
+                    let relaunch = b.delay(p.executor_launch_us, &[detect], "exec");
+                    b.delay(p.task_sched_us * 2.0, &[relaunch], "plan")
+                });
+                let recomputed = (0..ii).fold(resched, |prev, i| {
+                    let it = &self.iterations[i];
+                    let seg = format!("recompute/it{}/", it.superstep);
+                    b.child("Recompute", it.superstep, &seg, |b| {
+                        let mut deps = vec![prev];
+                        if i == 0 {
+                            // The lineage root: re-read the input split.
+                            let bytes = self.sizes.input_bytes[lw];
+                            let reread = b.read(&p.fs, lost, bytes, &[prev], "split/");
+                            let rebuild_us = bytes * costs.parse_cpu_us_per_byte
+                                + self.sizes.edges[lw] as f64 * scale * costs.build_cpu_us_per_edge;
+                            deps.push(b.compute(
+                                lost,
+                                rebuild_us,
+                                costs.worker_threads,
+                                &[reread],
+                                "rebuild",
+                            ));
+                        } else {
+                            for (a, row) in
+                                self.iterations[i - 1].remote_messages.iter().enumerate()
+                            {
+                                if a != lw && row[lw] > 0 {
+                                    let bytes = row[lw] as f64 * costs.bytes_per_message * scale;
+                                    let leaf = format!("fetch/a{a}");
+                                    deps.push(b.transfer(a as u16, lost, bytes, &[prev], &leaf));
+                                }
+                            }
+                        }
+                        let stats = &it.per_worker[lw];
+                        let work_us = ((stats.edges_scanned as f64 * costs.compute_us_per_edge
+                            + stats.active_vertices as f64 * costs.compute_us_per_vertex
+                            + (stats.messages_sent + stats.messages_received) as f64
+                                * costs.serialize_us_per_message)
+                            * scale)
+                            .max(400.0);
+                        b.compute(lost, work_us, costs.worker_threads, &deps, "tasks")
+                    })
+                });
+                let seg = format!("recompute/it{}/", it.superstep);
+                b.child("Recompute", it.superstep, &seg, |b| {
+                    b.quiet(|b| self.iteration_body(b, ii, recomputed))
+                })
+            },
+        )
     }
 
     // --------------------------------------------- OffloadGraph (L1)
-    fn offload(&mut self, prev_barrier: ActivityId) -> ActivityId {
-        let k = self.cfg.nodes;
-        let costs = &self.cfg.costs;
-        let scale = self.cfg.scale_factor;
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
-            Mission::new("OffloadGraph", "0"),
-            Some(self.job_key.clone()),
-            "job/offload/",
-            &self.driver_node,
-            "driver",
-        ));
-        let mut offloads: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for w in 0..k {
-            let tagp = format!("job/offload/w{w}/");
-            let bytes = self.verts[w as usize] as f64 * costs.bytes_per_vertex_out * scale;
-            let write = self.p.fs.write(
-                self.cluster,
-                &mut self.dag,
-                NodeId(w),
-                bytes,
-                &[prev_barrier],
-                &format!("{tagp}hdfs/"),
-            );
-            self.specs.push(
-                OpSpec::new(
-                    Actor::new("Executor", w.to_string()),
-                    Mission::new("LocalOffload", "0"),
-                    Some(self.domain("OffloadGraph")),
-                    tagp.clone(),
-                    self.exec_node(w),
-                    format!("executor-{w}"),
-                )
-                .with_info("OutputBytes", InfoValue::Int(bytes.round() as i64)),
-            );
-            offloads.push(write);
-        }
-        self.dag.barrier(&offloads, "job/offload/all-done")
-    }
-
-    // -------------------------------------------------- Cleanup (L1)
-    fn cleanup(&mut self, all_offloaded: ActivityId) {
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
-            Mission::new("Cleanup", "0"),
-            Some(self.job_key.clone()),
-            "job/cleanup/",
-            &self.driver_node,
-            "driver",
-        ));
-        self.dag.add(
-            ActivityKind::Delay {
-                duration_us: self.p.driver_startup_us * 0.4,
-            },
-            &[all_offloaded],
-            "job/cleanup/stop",
-        );
-        self.specs.push(OpSpec::new(
-            Actor::new("Driver", "0"),
-            Mission::new("StopContext", "0"),
-            Some(self.domain("Cleanup")),
-            "job/cleanup/stop",
-            &self.driver_node,
-            "driver",
-        ));
-    }
-
-    // ------------------------------------------------------- Simulate
-    fn finish(self, plan: &FaultPlan, output: AlgorithmOutput) -> Result<PlatformRun, SimError> {
-        let k = self.cfg.nodes;
-        let costs = &self.cfg.costs;
-        let scale = self.cfg.scale_factor;
-        let sim = {
-            let _span = granula_trace::span!("platform", "graphx.simulate {}", self.cfg.job_id);
-            Simulation::new(self.cluster.clone()).run_with_faults(&self.dag, plan)?
-        };
-        let events = emit_events(&self.specs, &self.dag, &sim);
-        let mut env_samples = trace_to_samples(&sim.trace);
-        // Memory view: each executor's cached RDD partitions become
-        // resident over its load interval and live until the context stops.
-        let release = sim
-            .span_of_tag(&self.dag, "job/cleanup/")
-            .map(|(s, _)| s.round() as u64)
-            .unwrap_or(sim.makespan_us.round() as u64);
-        let mut phases = Vec::with_capacity(k as usize);
-        for w in 0..k {
-            if let Some((ls, le)) = sim.span_of_tag(&self.dag, &format!("job/load/w{w}/")) {
-                phases.push(MemoryPhase {
-                    node: self.exec_node(w),
-                    ramp_start_us: ls.round() as u64,
-                    ramp_end_us: le.round() as u64,
-                    hold_until_us: release,
-                    bytes: self.edges[w as usize] as f64 * scale * costs.bytes_per_edge_mem,
-                });
-            }
-        }
-        env_samples.extend(memory_samples(&phases, sim.makespan_us.round() as u64));
-        Ok(PlatformRun {
-            events,
-            env_samples,
-            output,
-            makespan_us: sim.makespan_us.round() as u64,
-            iterations: self.iterations.len() as u32,
-        })
+    fn offload(&self, b: &mut JobBuilder, prev: ActivityId) -> ActivityId {
+        let cfg = b.cfg;
+        let writes: Vec<ActivityId> = (0..cfg.nodes)
+            .map(|w| {
+                let bytes = self.sizes.verts[w as usize] as f64
+                    * cfg.costs.bytes_per_vertex_out
+                    * cfg.scale_factor;
+                b.op(executor(w), "LocalOffload", 0, &format!("w{w}/"), |b| {
+                    b.rounded("OutputBytes", bytes);
+                    b.write(&self.p.fs, w, bytes, &[prev], "hdfs/")
+                })
+            })
+            .collect();
+        b.barrier(&writes, "all-done")
     }
 }
 
@@ -1033,6 +512,7 @@ impl<'a> Build<'a> {
 mod tests {
     use super::*;
     use crate::common::{reference_output, CostModel};
+    use gpsim_cluster::NodeId;
     use gpsim_graph::gen::{datagen_like, GenConfig};
     use granula_monitor::Assembler;
 

@@ -9,18 +9,14 @@
 //! the in-memory graph (paper §4.3, Figure 7).
 
 use gpsim_cluster::{
-    ActivityGraph, ActivityId, ActivityKind, ClusterSpec, FaultPlan, NodeCrash, NodeId, SimError,
-    Simulation,
+    ActivityGraph, ActivityId, ClusterSpec, FaultPlan, NodeCrash, NodeId, SimError, SimResult,
 };
 use gpsim_graph::{Graph, VertexCutPartition};
-use granula_model::{Actor, InfoValue, Mission};
+use granula_model::{Actor, InfoValue};
 
-use crate::common::{
-    memory_samples, trace_to_samples, Algorithm, AlgorithmOutput, JobConfig, MemoryPhase,
-    PlatformRun,
-};
+use crate::common::{Algorithm, AlgorithmOutput, JobConfig, MemoryPhase, PlatformRun};
 use crate::gas::{self, IterationMode, IterationStats};
-use crate::ops::{emit_events, OpSpec};
+use crate::ops::{earliest_crash, Failure, JobBuilder};
 
 /// Pipeline stages of the sequential loader (read chunk ↔ parse chunk).
 const LOAD_CHUNKS: u32 = 16;
@@ -160,8 +156,6 @@ impl PowerGraphPlatform {
             cfg.nodes
         );
         let k = cfg.nodes;
-        let costs = &cfg.costs;
-        let scale = cfg.scale_factor;
         let part = VertexCutPartition::greedy(g, k);
         let (output, iterations) = {
             let _span = granula_trace::span!("platform", "powergraph.gas_program {}", cfg.job_id);
@@ -169,59 +163,240 @@ impl PowerGraphPlatform {
         };
 
         // Per-machine sizes.
-        let edge_sizes = part.sizes();
         let mut masters = vec![0u64; k as usize];
         for v in 0..g.num_vertices() {
             masters[part.master_of(v) as usize] += 1;
         }
-        let total_bytes = (g.num_vertices() as f64 * 10.0
-            + g.num_edges() as f64 * costs.bytes_per_edge_in)
-            * scale;
-
-        let crash = plan
-            .crashes
-            .iter()
-            .min_by(|a, b| a.at_us.total_cmp(&b.at_us))
-            .cloned();
-
-        let mut b = PgBuild::new(
-            self,
-            cfg,
-            cluster,
-            &iterations,
-            &edge_sizes,
-            &masters,
-            total_bytes,
-            part.replication_factor(),
-        );
-        b.job("job/", "", &[]);
-
-        let Some(crash) = crash else {
-            return b.finish(plan, output);
+        let layout = Layout {
+            p: self,
+            iterations: &iterations,
+            edge_sizes: &part.sizes(),
+            masters: &masters,
+            total_bytes: (g.num_vertices() as f64 * 10.0
+                + g.num_edges() as f64 * cfg.costs.bytes_per_edge_in)
+                * cfg.scale_factor,
         };
+        let mut b = JobBuilder::new("powergraph", cluster, cfg, ("Machine", "machine"));
+        b.process("mpirun");
+        let exec = b.op(Actor::new("Job", "0"), "PowerGraphJob", 0, "job/", |b| {
+            b.info("Platform", InfoValue::Text("PowerGraph".into()));
+            b.info("Algorithm", InfoValue::Text(cfg.algorithm.name().into()));
+            b.info("Dataset", InfoValue::Text(cfg.dataset.clone()));
+            b.info("Machines", InfoValue::Int(k as i64));
+            b.info(
+                "ReplicationFactor",
+                InfoValue::Float(part.replication_factor()),
+            );
+            layout.attempt(b, &[]);
+            match earliest_crash(plan) {
+                Some(crash) => layout.restart(b, plan, &crash),
+                None => Ok(plan.clone()),
+            }
+        })?;
+        b.finish(&exec, output, iterations.len(), |b, sim| {
+            layout.memory(b, sim)
+        })
+    }
+}
 
-        // Fail-stop: simulate the first attempt under slowdowns only to
-        // learn which activities had started when the job aborted.
-        let recovery_span =
-            granula_trace::span!("platform", "powergraph.recovery.build {}", cfg.job_id);
-        let slow_plan = FaultPlan {
-            crashes: Vec::new(),
-            slowdowns: plan.slowdowns.clone(),
-        };
-        let probe_sim = Simulation::new(cluster.clone()).run_with_faults(&b.dag, &slow_plan)?;
-        let t_eff = crash
-            .at_us
-            .clamp(1.0, (probe_sim.makespan_us - 1.0).max(1.0));
+fn master() -> Actor {
+    Actor::new("Master", "0")
+}
 
-        // Truncate the first attempt to the activities that had started
-        // before the abort. The kept set is dependency-closed (an activity
-        // starts only after its dependencies ended), so ids remap cleanly.
-        // Specs keep their tags: operations that never started have no span
-        // and are skipped at emission.
+fn machine(m: u16) -> Actor {
+    Actor::new("Machine", m.to_string())
+}
+
+/// The PowerGraph job layout: one attempt, and the fail-stop restart.
+struct Layout<'a> {
+    p: &'a PowerGraphPlatform,
+    iterations: &'a [IterationStats],
+    edge_sizes: &'a [u64],
+    masters: &'a [u64],
+    total_bytes: f64,
+}
+
+impl Layout<'_> {
+    /// One full job attempt under the current scope; `deps` gates its
+    /// first activity.
+    fn attempt(&self, b: &mut JobBuilder, deps: &[ActivityId]) {
+        let (p, cfg) = (self.p, b.cfg);
+        let (k, costs, scale) = (cfg.nodes, &cfg.costs, cfg.scale_factor);
+
+        // -------------------------------------------------- Startup (L1)
+        let started = b.child("Startup", 0, "startup/", |b| {
+            let ranks: Vec<ActivityId> = b.op(master(), "MpiSetup", 0, "mpi/", |b| {
+                let mpirun = b.delay(p.mpirun_us, deps, "daemon");
+                (0..k)
+                    .map(|m| b.delay(p.per_rank_us, &[mpirun], &format!("rank-{m}")))
+                    .collect()
+            });
+            b.barrier(&ranks, "ready")
+        });
+
+        // ------------------------------------------------ LoadGraph (L1)
+        b.process("machine-0");
+        let loaded = b.child("LoadGraph", 0, "load/", |b| {
+            // Sequential read + parse pipeline, all on machine 0.
+            let parsed = b.op(machine(0), "SequentialLoad", 0, "seq/", |b| {
+                b.rounded("InputBytes", self.total_bytes);
+                let chunk = self.total_bytes / LOAD_CHUNKS as f64;
+                let (mut prev_read, mut prev_parse) = (started, None);
+                for c in 0..LOAD_CHUNKS {
+                    let read = b.shared_read(0, chunk, &[prev_read], &format!("read/c{c}"));
+                    // The parser is sequential: chunk c+1 is parsed only
+                    // after chunk c — reads are pipelined ahead, parsing is
+                    // the bottleneck.
+                    let deps: Vec<ActivityId> = [read].into_iter().chain(prev_parse).collect();
+                    let parse_us = chunk * costs.parse_cpu_us_per_byte;
+                    let leaf = format!("parse/c{c}");
+                    prev_parse = Some(b.compute(0, parse_us, p.loader_threads, &deps, &leaf));
+                    prev_read = read;
+                }
+                b.barrier(&[prev_parse.expect("LOAD_CHUNKS > 0")], "done")
+            });
+            // Distribute edge partitions to the other machines.
+            let mut finalize_deps = vec![(0, parsed)];
+            b.op(machine(0), "DistributeEdges", 0, "dist/", |b| {
+                for m in 1..k {
+                    let bytes =
+                        self.edge_sizes[m as usize] as f64 * costs.bytes_per_edge_in * scale;
+                    finalize_deps.push((m, b.transfer(0, m, bytes, &[parsed], &format!("m{m}"))));
+                }
+            });
+            // All machines build their local graph structures.
+            let built: Vec<ActivityId> = finalize_deps
+                .into_iter()
+                .map(|(m, dep)| {
+                    let edges = self.edge_sizes[m as usize];
+                    b.op(machine(m), "FinalizeGraph", 0, &format!("fin/m{m}/"), |b| {
+                        b.scaled("LocalEdges", edges);
+                        let build_us = edges as f64 * scale * costs.build_cpu_us_per_edge;
+                        b.compute(m, build_us, costs.worker_threads, &[dep], "build")
+                    })
+                })
+                .collect();
+            b.barrier(&built, "all-loaded")
+        });
+
+        // ---------------------------------------------- ProcessGraph (L1)
+        let processed = b.child("ProcessGraph", 0, "proc/", |b| {
+            self.iterations
+                .iter()
+                .fold(loaded, |prev, it| self.iteration(b, it, prev))
+        });
+
+        // --------------------------------------------- OffloadGraph (L1)
+        let offloaded = b.child("OffloadGraph", 0, "offload/", |b| {
+            let writes: Vec<ActivityId> = (0..k)
+                .map(|m| {
+                    let bytes =
+                        self.masters[m as usize] as f64 * costs.bytes_per_vertex_out * scale;
+                    b.op(machine(m), "LocalOffload", 0, &format!("m{m}/"), |b| {
+                        b.rounded("OutputBytes", bytes);
+                        b.shared_read(m, bytes, &[processed], "write")
+                    })
+                })
+                .collect();
+            b.barrier(&writes, "done")
+        });
+
+        // -------------------------------------------------- Cleanup (L1)
+        b.process("mpirun");
+        b.child("Cleanup", 0, "cleanup/", |b| {
+            b.op(master(), "MpiFinalize", 0, "finalize", |b| {
+                b.delay(p.finalize_us, &[offloaded], "")
+            })
+        });
+    }
+
+    /// One GAS iteration: per-machine gather, the replica-sync exchange,
+    /// per-machine apply + scatter, and the iteration barrier.
+    fn iteration(&self, b: &mut JobBuilder, it: &IterationStats, prev: ActivityId) -> ActivityId {
+        let cfg = b.cfg;
+        let (k, costs, scale) = (cfg.nodes, &cfg.costs, cfg.scale_factor);
+        let t = it.iteration;
+        b.child("Iteration", t, &format!("it{t}/"), |b| {
+            b.scaled("ActiveVertices", it.active_vertices);
+            let _span =
+                granula_trace::span!("platform", "powergraph.iteration.build {}", b.tag(""));
+            // Gather minor-step on every machine.
+            let gathers: Vec<ActivityId> = (0..k)
+                .map(|m| {
+                    let edges = it.per_machine[m as usize].gather_edges;
+                    b.op(machine(m), "Gather", t, &format!("m{m}/gather"), |b| {
+                        b.scaled("GatherEdges", edges);
+                        let work_us = (edges as f64 * costs.compute_us_per_edge * scale).max(500.0);
+                        b.compute(m, work_us, costs.worker_threads, &[prev], "")
+                    })
+                })
+                .collect();
+            // Exchange: replica syncs between machines.
+            let syncs: u64 = it.sync_matrix.iter().flatten().sum();
+            let exchanged = b.op_if(syncs > 0, master(), "Exchange", t, "ex/", |b| {
+                b.scaled("SyncMessages", syncs);
+                let mut deps = Vec::new();
+                for (a, row) in it.sync_matrix.iter().enumerate() {
+                    for (d, &count) in row.iter().enumerate().filter(|&(_, &c)| c > 0) {
+                        let bytes = count as f64 * costs.bytes_per_message * scale;
+                        let leaf = format!("a{a}b{d}");
+                        deps.push(b.transfer(a as u16, d as u16, bytes, &[gathers[a]], &leaf));
+                    }
+                }
+                if deps.is_empty() {
+                    return b.barrier(&gathers, "none");
+                }
+                deps.extend_from_slice(&gathers);
+                b.barrier(&deps, "join")
+            });
+            // Apply + scatter per machine.
+            let scatters: Vec<ActivityId> = (0..k)
+                .map(|m| {
+                    let stats = &it.per_machine[m as usize];
+                    let apply = b.op(machine(m), "Apply", t, &format!("m{m}/apply"), |b| {
+                        let work_us =
+                            (stats.apply_vertices as f64 * costs.compute_us_per_vertex * scale)
+                                .max(200.0);
+                        b.compute(m, work_us, costs.worker_threads, &[exchanged], "")
+                    });
+                    b.op(machine(m), "Scatter", t, &format!("m{m}/scatter"), |b| {
+                        let work_us =
+                            (stats.scatter_edges as f64 * costs.compute_us_per_edge * 0.5 * scale)
+                                .max(200.0);
+                        b.compute(m, work_us, costs.worker_threads, &[apply], "")
+                    })
+                })
+                .collect();
+            let join = b.barrier(&scatters, "barrier/join");
+            b.delay(costs.barrier_us, &[join], "barrier/sync")
+        })
+    }
+
+    /// Fail-stop: the first attempt is cut at the abort (only activities
+    /// that had started by then are kept, learned from a probe under the
+    /// plan's slowdowns), then the runtime detects the dead rank,
+    /// respawns MPI, and the whole job runs again under `job/r1/`. Returns
+    /// the plan to execute: every rank dies at the abort and is back for
+    /// the restart.
+    fn restart(
+        &self,
+        b: &mut JobBuilder,
+        plan: &FaultPlan,
+        crash: &NodeCrash,
+    ) -> Result<FaultPlan, SimError> {
+        let (p, k) = (self.p, b.cfg.nodes);
+        let _span = granula_trace::span!("platform", "powergraph.recovery.build {}", b.cfg.job_id);
+        let probe = b.probe(plan)?;
+        let at_us = crash.at_us.clamp(1.0, (probe.makespan_us - 1.0).max(1.0));
+
+        // The kept set is dependency-closed (an activity starts only after
+        // its dependencies ended), so ids remap cleanly. Specs keep their
+        // tags: operations that never started have no span and are
+        // skipped at emission.
         let mut kept = ActivityGraph::new();
         let mut map: Vec<Option<ActivityId>> = Vec::with_capacity(b.dag.len());
         for a in b.dag.iter() {
-            if probe_sim.results[a.id.0 as usize].start_us >= t_eff {
+            if probe.results[a.id.0 as usize].start_us >= at_us {
                 map.push(None);
                 continue;
             }
@@ -230,632 +405,61 @@ impl PowerGraphPlatform {
         }
         b.dag = kept;
 
-        // Abort + resubmit: detection of the dead rank, then a full MPI
-        // respawn, then the whole job again under `job/r1/`.
-        let head = b.head.clone();
-        let recover_key = (Actor::new("Master", "0"), Mission::new("Recover", "0"));
-        b.specs.push(
-            OpSpec::new(
-                Actor::new("Master", "0"),
-                Mission::new("Recover", "0"),
-                Some(b.job_key.clone()),
-                "job/fail/",
-                &head,
-                "mpirun",
-            )
-            .with_info(
-                "FailedNode",
-                InfoValue::Text(cluster.node(crash.node).name.clone()),
-            )
-            .with_info("WastedUs", InfoValue::Int(t_eff.round() as i64)),
-        );
-        // The crash anchor pins failure detection to the injected instant.
-        let anchor = b.dag.add(
-            ActivityKind::Delay { duration_us: t_eff },
-            &[],
-            "job/meta/t-crash",
-        );
-        let detect = b.dag.add(
-            ActivityKind::Delay {
-                duration_us: self.failure_detect_us,
-            },
-            &[anchor],
-            "job/fail/detect",
-        );
-        b.specs.push(OpSpec::new(
-            Actor::new("Master", "0"),
-            Mission::new("DetectFailure", "0"),
-            Some(recover_key.clone()),
-            "job/fail/detect",
-            &head,
-            "mpirun",
-        ));
-        let mpirun = b.dag.add(
-            ActivityKind::Delay {
-                duration_us: self.mpirun_us,
-            },
-            &[detect],
-            "job/fail/respawn/mpi/daemon",
-        );
-        let mut ranks: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for m in 0..k {
-            ranks.push(b.dag.add(
-                ActivityKind::Delay {
-                    duration_us: self.per_rank_us,
-                },
-                &[mpirun],
-                format!("job/fail/respawn/mpi/rank-{m}"),
-            ));
-        }
-        let respawned = b.dag.barrier(&ranks, "job/fail/respawn/ready");
-        b.specs.push(OpSpec::new(
-            Actor::new("Master", "0"),
-            Mission::new("Respawn", "0"),
-            Some(recover_key),
-            "job/fail/respawn/",
-            &head,
-            "mpirun",
-        ));
-        b.job("job/r1/", ":r1", &[respawned]);
-        drop(recovery_span);
-
-        // Every rank dies with the job at the abort instant and is back for
-        // the restart; the lost node itself is replaced within the same
-        // window.
-        let exec_plan = FaultPlan {
+        let failure = Failure {
+            node: crash.node,
+            at_us,
+            detect_us: p.failure_detect_us,
+        };
+        let respawned = b.recover(master(), "fail/", &failure, at_us, |b, detect| {
+            b.child("Respawn", 0, "respawn/", |b| {
+                let mpirun = b.delay(p.mpirun_us, &[detect], "mpi/daemon");
+                let ranks: Vec<ActivityId> = (0..k)
+                    .map(|m| b.delay(p.per_rank_us, &[mpirun], &format!("mpi/rank-{m}")))
+                    .collect();
+                b.barrier(&ranks, "ready")
+            })
+        });
+        b.retry("r1/", ":r1", |b| self.attempt(b, &[respawned]));
+        Ok(FaultPlan {
             crashes: (0..k)
                 .map(|m| NodeCrash {
                     node: NodeId(m),
-                    at_us: t_eff,
-                    restart_after_us: Some(self.failure_detect_us),
+                    at_us,
+                    restart_after_us: Some(p.failure_detect_us),
                 })
                 .collect(),
             slowdowns: plan.slowdowns.clone(),
-        };
-        b.finish(&exec_plan, output)
-    }
-}
-
-/// DAG + spec builder for one full PowerGraph job attempt; the fail-stop
-/// path builds two attempts into the same graph.
-struct PgBuild<'a> {
-    p: &'a PowerGraphPlatform,
-    cfg: &'a JobConfig,
-    cluster: &'a ClusterSpec,
-    iterations: &'a [IterationStats],
-    edge_sizes: &'a [u64],
-    masters: &'a [u64],
-    total_bytes: f64,
-    dag: ActivityGraph,
-    specs: Vec<OpSpec>,
-    job_actor: Actor,
-    job_key: (Actor, Mission),
-    head: String,
-}
-
-impl<'a> PgBuild<'a> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        p: &'a PowerGraphPlatform,
-        cfg: &'a JobConfig,
-        cluster: &'a ClusterSpec,
-        iterations: &'a [IterationStats],
-        edge_sizes: &'a [u64],
-        masters: &'a [u64],
-        total_bytes: f64,
-        replication_factor: f64,
-    ) -> Self {
-        let job_actor = Actor::new("Job", "0");
-        let job_mission = Mission::new("PowerGraphJob", "0");
-        let job_key = (job_actor.clone(), job_mission.clone());
-        let head = cluster.node(NodeId(0)).name.clone();
-        let specs: Vec<OpSpec> = vec![OpSpec::new(
-            job_actor.clone(),
-            job_mission,
-            None,
-            "job/",
-            &head,
-            "mpirun",
-        )
-        .with_info("Platform", InfoValue::Text("PowerGraph".into()))
-        .with_info("Algorithm", InfoValue::Text(cfg.algorithm.name().into()))
-        .with_info("Dataset", InfoValue::Text(cfg.dataset.clone()))
-        .with_info("Machines", InfoValue::Int(cfg.nodes as i64))
-        .with_info("ReplicationFactor", InfoValue::Float(replication_factor))];
-        PgBuild {
-            p,
-            cfg,
-            cluster,
-            iterations,
-            edge_sizes,
-            masters,
-            total_bytes,
-            dag: ActivityGraph::new(),
-            specs,
-            job_actor,
-            job_key,
-            head,
-        }
+        })
     }
 
-    fn node_name(&self, m: u16) -> String {
-        self.cluster.node(NodeId(m)).name.clone()
-    }
-
-    fn domain(&self, mission: &str, suffix: &str) -> (Actor, Mission) {
-        (
-            self.job_actor.clone(),
-            Mission::new(mission, format!("0{suffix}")),
-        )
-    }
-
-    /// One full job attempt. `prefix` replaces the leading `job/` of every
-    /// activity tag (`job/r1/` for the restart); `suffix` is appended to
-    /// every mission id so the restarted operations stay distinct in the
-    /// archive; `deps` gates the attempt's first activity.
-    fn job(&mut self, prefix: &str, suffix: &str, deps: &[ActivityId]) {
-        let k = self.cfg.nodes;
-        let costs = &self.cfg.costs;
-        let scale = self.cfg.scale_factor;
-        let head = self.head.clone();
-
-        // -------------------------------------------------- Startup (L1)
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
-            Mission::new("Startup", format!("0{suffix}")),
-            Some(self.job_key.clone()),
-            format!("{prefix}startup/"),
-            &head,
-            "mpirun",
-        ));
-        let mpirun = self.dag.add(
-            ActivityKind::Delay {
-                duration_us: self.p.mpirun_us,
-            },
-            deps,
-            format!("{prefix}startup/mpi/daemon"),
-        );
-        let mut ranks: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for m in 0..k {
-            ranks.push(self.dag.add(
-                ActivityKind::Delay {
-                    duration_us: self.p.per_rank_us,
-                },
-                &[mpirun],
-                format!("{prefix}startup/mpi/rank-{m}"),
-            ));
-        }
-        self.specs.push(OpSpec::new(
-            Actor::new("Master", "0"),
-            Mission::new("MpiSetup", format!("0{suffix}")),
-            Some(self.domain("Startup", suffix)),
-            format!("{prefix}startup/mpi/"),
-            &head,
-            "mpirun",
-        ));
-        let started = self.dag.barrier(&ranks, format!("{prefix}startup/ready"));
-
-        // ------------------------------------------------ LoadGraph (L1)
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
-            Mission::new("LoadGraph", format!("0{suffix}")),
-            Some(self.job_key.clone()),
-            format!("{prefix}load/"),
-            &head,
-            "machine-0",
-        ));
-        // Sequential read + parse pipeline, all on machine 0.
-        self.specs.push(
-            OpSpec::new(
-                Actor::new("Machine", "0"),
-                Mission::new("SequentialLoad", format!("0{suffix}")),
-                Some(self.domain("LoadGraph", suffix)),
-                format!("{prefix}load/seq/"),
-                &head,
-                "machine-0",
-            )
-            .with_info(
-                "InputBytes",
-                InfoValue::Int(self.total_bytes.round() as i64),
-            ),
-        );
-        let chunk = self.total_bytes / LOAD_CHUNKS as f64;
-        let mut prev_read = started;
-        let mut prev_parse: Option<ActivityId> = None;
-        for c in 0..LOAD_CHUNKS {
-            let read = self.dag.add(
-                ActivityKind::SharedRead {
-                    node: NodeId(0),
-                    bytes: chunk,
-                },
-                &[prev_read],
-                format!("{prefix}load/seq/read/c{c}"),
-            );
-            // The parser is sequential: chunk c+1 is parsed only after chunk
-            // c — reads are pipelined ahead, parsing is the bottleneck.
-            let deps: Vec<ActivityId> = match prev_parse {
-                Some(p) => vec![read, p],
-                None => vec![read],
-            };
-            let parse = self.dag.add(
-                ActivityKind::Compute {
-                    node: NodeId(0),
-                    work_core_us: chunk * costs.parse_cpu_us_per_byte,
-                    parallelism: self.p.loader_threads,
-                },
-                &deps,
-                format!("{prefix}load/seq/parse/c{c}"),
-            );
-            prev_read = read;
-            prev_parse = Some(parse);
-        }
-        let parsed = self.dag.barrier(
-            &[prev_parse.expect("LOAD_CHUNKS > 0")],
-            format!("{prefix}load/seq/done"),
-        );
-
-        // Distribute edge partitions to the other machines.
-        self.specs.push(OpSpec::new(
-            Actor::new("Machine", "0"),
-            Mission::new("DistributeEdges", format!("0{suffix}")),
-            Some(self.domain("LoadGraph", suffix)),
-            format!("{prefix}load/dist/"),
-            &head,
-            "machine-0",
-        ));
-        let mut finalize_deps: Vec<(u16, ActivityId)> = vec![(0, parsed)];
-        for m in 1..k {
-            let bytes = self.edge_sizes[m as usize] as f64 * costs.bytes_per_edge_in * scale;
-            let xfer = self.dag.add(
-                ActivityKind::Transfer {
-                    src: NodeId(0),
-                    dst: NodeId(m),
-                    bytes,
-                },
-                &[parsed],
-                format!("{prefix}load/dist/m{m}"),
-            );
-            finalize_deps.push((m, xfer));
-        }
-
-        // All machines build their local graph structures.
-        let mut built: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for (m, dep) in finalize_deps {
-            let build = self.dag.add(
-                ActivityKind::Compute {
-                    node: NodeId(m),
-                    work_core_us: self.edge_sizes[m as usize] as f64
-                        * scale
-                        * costs.build_cpu_us_per_edge,
-                    parallelism: costs.worker_threads,
-                },
-                &[dep],
-                format!("{prefix}load/fin/m{m}/build"),
-            );
-            self.specs.push(
-                OpSpec::new(
-                    Actor::new("Machine", m.to_string()),
-                    Mission::new("FinalizeGraph", format!("0{suffix}")),
-                    Some(self.domain("LoadGraph", suffix)),
-                    format!("{prefix}load/fin/m{m}/"),
-                    self.node_name(m),
-                    format!("machine-{m}"),
-                )
-                .with_info(
-                    "LocalEdges",
-                    InfoValue::Int((self.edge_sizes[m as usize] as f64 * scale).round() as i64),
-                ),
-            );
-            built.push(build);
-        }
-        let all_loaded = self.dag.barrier(&built, format!("{prefix}load/all-loaded"));
-
-        // ---------------------------------------------- ProcessGraph (L1)
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
-            Mission::new("ProcessGraph", format!("0{suffix}")),
-            Some(self.job_key.clone()),
-            format!("{prefix}proc/"),
-            &head,
-            "machine-0",
-        ));
-        let mut prev_barrier = all_loaded;
-        for it in self.iterations {
-            let t = it.iteration;
-            let it_tag = format!("{prefix}proc/it{t}/");
-            self.specs.push(
-                OpSpec::new(
-                    self.job_actor.clone(),
-                    Mission::new("Iteration", format!("{t}{suffix}")),
-                    Some(self.domain("ProcessGraph", suffix)),
-                    it_tag.clone(),
-                    &head,
-                    "machine-0",
-                )
-                .with_info(
-                    "ActiveVertices",
-                    InfoValue::Int((it.active_vertices as f64 * scale).round() as i64),
-                ),
-            );
-            let iter_parent = (
-                self.job_actor.clone(),
-                Mission::new("Iteration", format!("{t}{suffix}")),
-            );
-
-            let _it_span = granula_trace::span!("platform", "powergraph.iteration.build {it_tag}");
-
-            // Gather minor-step on every machine.
-            let gather_span = granula_trace::span!("platform", "powergraph.gather.build {it_tag}");
-            let mut gathers: Vec<ActivityId> = Vec::with_capacity(k as usize);
-            for m in 0..k {
-                let stats = &it.per_machine[m as usize];
-                let work = (stats.gather_edges as f64 * costs.compute_us_per_edge) * scale;
-                let gather = self.dag.add(
-                    ActivityKind::Compute {
-                        node: NodeId(m),
-                        work_core_us: work.max(500.0),
-                        parallelism: costs.worker_threads,
-                    },
-                    &[prev_barrier],
-                    format!("{it_tag}m{m}/gather"),
-                );
-                self.specs.push(
-                    OpSpec::new(
-                        Actor::new("Machine", m.to_string()),
-                        Mission::new("Gather", format!("{t}{suffix}")),
-                        Some(iter_parent.clone()),
-                        format!("{it_tag}m{m}/gather"),
-                        self.node_name(m),
-                        format!("machine-{m}"),
-                    )
-                    .with_info(
-                        "GatherEdges",
-                        InfoValue::Int((stats.gather_edges as f64 * scale).round() as i64),
-                    ),
-                );
-                gathers.push(gather);
-            }
-
-            drop(gather_span);
-
-            // Exchange: replica syncs between machines.
-            let exchange_span =
-                granula_trace::span!("platform", "powergraph.exchange.build {it_tag}");
-            let mut exchanges: Vec<ActivityId> = Vec::new();
-            let mut sync_total = 0u64;
-            #[allow(clippy::needless_range_loop)] // machine ids index the matrix
-            for a in 0..k as usize {
-                for b in 0..k as usize {
-                    let count = it.sync_matrix[a][b];
-                    if count == 0 {
-                        continue;
-                    }
-                    sync_total += count;
-                    exchanges.push(self.dag.add(
-                        ActivityKind::Transfer {
-                            src: NodeId(a as u16),
-                            dst: NodeId(b as u16),
-                            bytes: count as f64 * costs.bytes_per_message * scale,
-                        },
-                        &[gathers[a]],
-                        format!("{it_tag}ex/a{a}b{b}"),
-                    ));
-                }
-            }
-            let exchange_done = if exchanges.is_empty() {
-                self.dag.barrier(&gathers, format!("{it_tag}ex/none"))
-            } else {
-                let mut deps = exchanges.clone();
-                deps.extend_from_slice(&gathers);
-                self.dag.barrier(&deps, format!("{it_tag}ex/join"))
-            };
-            if !exchanges.is_empty() {
-                self.specs.push(
-                    OpSpec::new(
-                        Actor::new("Master", "0"),
-                        Mission::new("Exchange", format!("{t}{suffix}")),
-                        Some(iter_parent.clone()),
-                        format!("{it_tag}ex/"),
-                        &head,
-                        "machine-0",
-                    )
-                    .with_info(
-                        "SyncMessages",
-                        InfoValue::Int((sync_total as f64 * scale).round() as i64),
-                    ),
-                );
-            }
-
-            drop(exchange_span);
-
-            // Apply + scatter per machine.
-            let apply_span =
-                granula_trace::span!("platform", "powergraph.apply_scatter.build {it_tag}");
-            let mut scatters: Vec<ActivityId> = Vec::with_capacity(k as usize);
-            for m in 0..k {
-                let stats = &it.per_machine[m as usize];
-                let apply = self.dag.add(
-                    ActivityKind::Compute {
-                        node: NodeId(m),
-                        work_core_us: (stats.apply_vertices as f64
-                            * costs.compute_us_per_vertex
-                            * scale)
-                            .max(200.0),
-                        parallelism: costs.worker_threads,
-                    },
-                    &[exchange_done],
-                    format!("{it_tag}m{m}/apply"),
-                );
-                self.specs.push(OpSpec::new(
-                    Actor::new("Machine", m.to_string()),
-                    Mission::new("Apply", format!("{t}{suffix}")),
-                    Some(iter_parent.clone()),
-                    format!("{it_tag}m{m}/apply"),
-                    self.node_name(m),
-                    format!("machine-{m}"),
-                ));
-                let scatter = self.dag.add(
-                    ActivityKind::Compute {
-                        node: NodeId(m),
-                        work_core_us: (stats.scatter_edges as f64
-                            * costs.compute_us_per_edge
-                            * 0.5
-                            * scale)
-                            .max(200.0),
-                        parallelism: costs.worker_threads,
-                    },
-                    &[apply],
-                    format!("{it_tag}m{m}/scatter"),
-                );
-                self.specs.push(OpSpec::new(
-                    Actor::new("Machine", m.to_string()),
-                    Mission::new("Scatter", format!("{t}{suffix}")),
-                    Some(iter_parent.clone()),
-                    format!("{it_tag}m{m}/scatter"),
-                    self.node_name(m),
-                    format!("machine-{m}"),
-                ));
-                scatters.push(scatter);
-            }
-            drop(apply_span);
-            let join = self.dag.barrier(&scatters, format!("{it_tag}barrier/join"));
-            prev_barrier = self.dag.add(
-                ActivityKind::Delay {
-                    duration_us: costs.barrier_us,
-                },
-                &[join],
-                format!("{it_tag}barrier/sync"),
-            );
-        }
-
-        // --------------------------------------------- OffloadGraph (L1)
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
-            Mission::new("OffloadGraph", format!("0{suffix}")),
-            Some(self.job_key.clone()),
-            format!("{prefix}offload/"),
-            &head,
-            "machine-0",
-        ));
-        let mut offloads: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for m in 0..k {
-            let bytes = self.masters[m as usize] as f64 * costs.bytes_per_vertex_out * scale;
-            let write = self.dag.add(
-                ActivityKind::SharedRead {
-                    node: NodeId(m),
-                    bytes,
-                },
-                &[prev_barrier],
-                format!("{prefix}offload/m{m}/write"),
-            );
-            self.specs.push(
-                OpSpec::new(
-                    Actor::new("Machine", m.to_string()),
-                    Mission::new("LocalOffload", format!("0{suffix}")),
-                    Some(self.domain("OffloadGraph", suffix)),
-                    format!("{prefix}offload/m{m}/"),
-                    self.node_name(m),
-                    format!("machine-{m}"),
-                )
-                .with_info("OutputBytes", InfoValue::Int(bytes.round() as i64)),
-            );
-            offloads.push(write);
-        }
-        let all_offloaded = self.dag.barrier(&offloads, format!("{prefix}offload/done"));
-
-        // -------------------------------------------------- Cleanup (L1)
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
-            Mission::new("Cleanup", format!("0{suffix}")),
-            Some(self.job_key.clone()),
-            format!("{prefix}cleanup/"),
-            &head,
-            "mpirun",
-        ));
-        self.dag.add(
-            ActivityKind::Delay {
-                duration_us: self.p.finalize_us,
-            },
-            &[all_offloaded],
-            format!("{prefix}cleanup/finalize"),
-        );
-        self.specs.push(OpSpec::new(
-            Actor::new("Master", "0"),
-            Mission::new("MpiFinalize", format!("0{suffix}")),
-            Some(self.domain("Cleanup", suffix)),
-            format!("{prefix}cleanup/finalize"),
-            &head,
-            "mpirun",
-        ));
-    }
-
-    // ------------------------------------------------------- Simulate
-    fn finish(self, plan: &FaultPlan, output: AlgorithmOutput) -> Result<PlatformRun, SimError> {
-        let k = self.cfg.nodes;
-        let costs = &self.cfg.costs;
-        let scale = self.cfg.scale_factor;
-        let sim = {
-            let _span = granula_trace::span!("platform", "powergraph.simulate {}", self.cfg.job_id);
-            Simulation::new(self.cluster.clone()).run_with_faults(&self.dag, plan)?
-        };
-        let events = {
-            let _span =
-                granula_trace::span!("platform", "powergraph.emit_events {}", self.cfg.job_id);
-            emit_events(&self.specs, &self.dag, &sim)
-        };
-        let mut env_samples = trace_to_samples(&sim.trace);
-        // Memory view. Machine 0 temporarily holds the *entire* parsed edge
-        // list as a staging buffer during the sequential load, released once
-        // partitions have been distributed — the memory-pressure signature
-        // of the single-loader design. Partitions then stay resident until
-        // MPI finalize. A restarted attempt repeats the pattern under its
-        // own tag prefix.
-        let mut phases = Vec::with_capacity(2 * (k as usize + 1));
+    /// Memory view. Machine 0 temporarily holds the *entire* parsed edge
+    /// list as a staging buffer during the sequential load, released once
+    /// partitions have been distributed — the memory-pressure signature of
+    /// the single-loader design. Partitions then stay resident until MPI
+    /// finalize. A restarted attempt repeats the pattern under its own tag
+    /// prefix.
+    fn memory(&self, b: &JobBuilder, sim: &SimResult) -> Vec<MemoryPhase> {
+        let span = |tag: String| sim.span_of_tag(&b.dag, &tag);
+        let mut phases = Vec::with_capacity(2 * (b.cfg.nodes as usize + 1));
         for prefix in ["job/", "job/r1/"] {
-            if prefix == "job/r1/" && sim.span_of_tag(&self.dag, prefix).is_none() {
+            if prefix == "job/r1/" && span(prefix.into()).is_none() {
                 continue;
             }
-            let release = sim
-                .span_of_tag(&self.dag, &format!("{prefix}cleanup/"))
-                .map(|(s, _)| s.round() as u64)
-                .unwrap_or(sim.makespan_us.round() as u64);
-            if let (Some((ss, se)), Some((_, de))) = (
-                sim.span_of_tag(&self.dag, &format!("{prefix}load/seq/")),
-                sim.span_of_tag(&self.dag, &format!("{prefix}load/dist/"))
-                    .or(sim.span_of_tag(&self.dag, &format!("{prefix}load/seq/"))),
-            ) {
+            let seq = span(format!("{prefix}load/seq/"));
+            if let (Some((start, end)), Some((_, released))) =
+                (seq, span(format!("{prefix}load/dist/")).or(seq))
+            {
                 phases.push(MemoryPhase {
-                    node: self.head.clone(),
-                    ramp_start_us: ss.round() as u64,
-                    ramp_end_us: se.round() as u64,
-                    hold_until_us: de.round() as u64,
+                    node: b.cluster.node(NodeId(0)).name.clone(),
+                    ramp_start_us: start.round() as u64,
+                    ramp_end_us: end.round() as u64,
+                    hold_until_us: released.round() as u64,
                     bytes: self.total_bytes,
                 });
             }
-            for m in 0..k {
-                if let Some((fs, fe)) =
-                    sim.span_of_tag(&self.dag, &format!("{prefix}load/fin/m{m}/"))
-                {
-                    phases.push(MemoryPhase {
-                        node: self.node_name(m),
-                        ramp_start_us: fs.round() as u64,
-                        ramp_end_us: fe.round() as u64,
-                        hold_until_us: release,
-                        bytes: self.edge_sizes[m as usize] as f64
-                            * scale
-                            * costs.bytes_per_edge_mem,
-                    });
-                }
-            }
+            phases.extend(b.resident(sim, prefix, "load/fin/m", self.edge_sizes));
         }
-        env_samples.extend(memory_samples(&phases, sim.makespan_us.round() as u64));
-        Ok(PlatformRun {
-            events,
-            env_samples,
-            output,
-            makespan_us: sim.makespan_us.round() as u64,
-            iterations: self.iterations.len() as u32,
-        })
+        phases
     }
 }
 
