@@ -33,6 +33,15 @@
 //! Granula pipeline consumes. The differential suites (`tests/prop.rs`,
 //! `tests/engines.rs`) hold the engines to one semantics and one
 //! instrumentation contract.
+//!
+//! All five drivers build their jobs with one `JobBuilder` ([`ops`]). Each
+//! operation of the platform's tree is declared once, as a scope that owns
+//! its tag prefix, parent link, node and process; the activities added
+//! inside it are its work. The builder also runs the job (`finish`:
+//! simulate, emit, sample, memory view) and carries the single-failure
+//! protocol the fault-capable drivers share (`single_failure`, `recover`).
+//! A driver keeps only its own layout: one function per phase, and one
+//! body per processing unit that its healthy run and its replays share.
 
 pub mod common;
 pub mod gas;
